@@ -52,6 +52,8 @@ from .synthetic import (
 from .train import TrainConfig, evaluate_masked_accuracy, init_aux_params, train_model
 
 CONFIG_VERSION = 1
+# rows per sample_batch call; fixed, so chunks never depend on --threads
+SAMPLE_CHUNK_ROWS = 64
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -222,6 +224,22 @@ def cmd_train(args) -> int:
 # -- sample ------------------------------------------------------------------------
 
 
+def _sample_rows(model, bundles, seeds, length, config, threads,
+                 trace=None) -> list[Codegram]:
+    """sample_batch over fixed-size row chunks, which `threads` workers share."""
+    def run_chunk(start: int) -> list[Codegram]:
+        rows = slice(start, start + SAMPLE_CHUNK_ROWS)
+        return sample_batch(model, bundles[rows], length, config, seeds=seeds[rows],
+                            trace=trace if start == 0 else None)
+
+    starts = range(0, len(bundles), SAMPLE_CHUNK_ROWS)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # a lone worker runs here: a pool thread (started on first map) would add
+        # its own malloc arena to the peak RSS and nothing else
+        run = map if min(threads, len(starts)) == 1 else pool.map
+        return [grid for chunk in run(run_chunk, starts) for grid in chunk]
+
+
 def cmd_sample(args) -> int:
     _print_resolved("sample", args)
     task, examples, splits = load_dataset(args.data)
@@ -246,19 +264,12 @@ def cmd_sample(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def run_beam(beam: int) -> Codegram:
-        trace: list[str] | None = [] if (args.trace and beam == 0) else None
-        grid = sample_batch(
-            model, [bundle], task.length, config,
-            seeds=[derive_seed(args.seed, "sample", args.index, beam)], trace=trace,
-        )[0]
-        if trace is not None:
-            sys.stdout.write("\n".join(trace) + "\n")
-        return grid
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        grids = list(pool.map(run_beam, range(args.beams)))
+    trace: list[str] | None = [] if args.trace else None
+    seeds = [derive_seed(args.seed, "sample", args.index, b) for b in range(args.beams)]
+    grids = _sample_rows(model, [bundle] * args.beams, seeds, task.length, config,
+                         args.threads, trace)
+    if trace is not None:
+        sys.stdout.write("\n".join(trace) + "\n")
     for beam, grid in enumerate(grids):
         save_codegram(grid, out / f"beam_{beam:03d}.cgram")
     (out / "beam_000.txt").write_text(dump_text(grids[0]))
@@ -430,17 +441,12 @@ def cmd_pipeline(args) -> int:
         seed=args.seed,
     )
 
-    def run_task(task_id: tuple[int, int]) -> Codegram:
-        example_pos, beam = task_id
-        example = test_examples[example_pos]
-        return sample_batch(
-            model, [bundle_for(example, task)], task.length, sampler_cfg,
-            seeds=[derive_seed(args.seed, "sample", example["index"], beam)],
-        )[0]
-
-    task_ids = [(e, b) for e in range(eval_count) for b in range(args.beams)]
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        all_beams = list(pool.map(run_task, task_ids))
+    rows = [(test_examples[e], b) for e in range(eval_count) for b in range(args.beams)]
+    all_beams = _sample_rows(
+        model, [bundle_for(example, task) for example, _ in rows],
+        [derive_seed(args.seed, "sample", example["index"], b) for example, b in rows],
+        task.length, sampler_cfg, args.threads,
+    )
 
     chosen_grids: list[Codegram] = []
     hits = 0

@@ -262,8 +262,3 @@ def format_report(results: dict) -> str:
     lines += ["", "metric".ljust(width) + "  value", "-" * (width + 9)]
     lines += [f"{k.ljust(width)}  {fmt(results[k])}" for k in keys]
     return "\n".join(lines) + "\n"
-
-
-# metric surface re-exports: embedding files share the feature file format
-save_embeddings = save_features
-load_embeddings = load_features

@@ -406,13 +406,16 @@ class MaskedGridTransformer:
         mask: np.ndarray,
         streams: dict[str, np.ndarray] | None,
         drop: np.ndarray | None = None,
+        enc_out: EncoderOutput | None = None,
     ) -> tuple[Tensor, EncoderOutput | None]:
         """Batched forward pass.
 
         tokens: (B, L, K) ints in [0, D); mask: (B, L, K) bools, True = masked
         (those positions read the MASK embedding regardless of token value);
         streams: name -> (B, N, C) arrays, or None for unconditional mode;
-        drop: per-example flags replacing stream content with [NULL].
+        drop: per-example flags replacing stream content with [NULL];
+        enc_out: an encoder output returned earlier for the same streams and
+        drop flags, which is reused instead of running the encoder again.
         Returns logits (B, L, K, D) and the encoder output when the structure
         has one.
         """
@@ -443,10 +446,9 @@ class MaskedGridTransformer:
         x = x + self.params["tok.pos"][:length]
         self._check_finite(x, "token embedding")
 
-        enc_out = None
-        if cfg.uses_encoder:
+        if cfg.uses_encoder and enc_out is None:
             enc_out = self._encode(streams, drop, b)
-            enc_seq = enc_out.sequence
+        enc_seq = enc_out.sequence if enc_out is not None else None
         cond = None
         if cfg.structure in ("adaln", "hybrid"):
             raw, _ = self._assemble(cfg.adaln_streams(), streams, drop, target_len=length)
@@ -539,7 +541,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
             size = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
             offset += 8 * size
-        except struct.error as exc:
+        except (struct.error, ValueError) as exc:  # frombuffer: ValueError on short data
             raise TruncatedPayloadError(f"{path}: truncated record") from exc
         tensor = Tensor(arr.reshape(shape).copy(), requires_grad=True)
         if name.startswith("extra."):

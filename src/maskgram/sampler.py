@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .codegram import Codegram, CodebookSpec
 from .errors import ShapeMismatchError, ValidationError
 from .features import ConditioningBundle, stack_streams
-from .model import MaskedGridTransformer
+from .model import EncoderOutput, MaskedGridTransformer
 from .scheduler import SampleSchedule, build_sample_schedule
 from .seeding import derive_seed
 
@@ -29,7 +29,6 @@ class SamplerConfig:
     delta: float = 8.0
     temperature: float = 1.0
     seed: int = 0
-    resample_committed: bool = False  # MaskGIT-style re-draw of committed tokens
     force_two_pass: bool = False      # run the unconditional pass even at gamma=0
 
     def __post_init__(self):
@@ -52,6 +51,9 @@ class SamplerState:
     mask: np.ndarray          # (B, L, K) bools
     confidences: np.ndarray   # (B, L, K); +inf at committed positions
     rngs: list[np.random.Generator]
+    # encoder outputs of the conditional and the NULL pass, reused after step 0
+    cond_enc: EncoderOutput | None = None
+    null_enc: EncoderOutput | None = None
 
 
 def guided_logits(cond: np.ndarray, uncond: np.ndarray, gamma: float) -> np.ndarray:
@@ -105,17 +107,22 @@ def init_state(batch: int, length: int, levels: int, spec: CodebookSpec,
 
 
 def _model_logits(model: MaskedGridTransformer, state: SamplerState,
-                  streams, config: SamplerConfig) -> np.ndarray:
-    b, length, levels = state.tokens.shape
-    spec = model.config.spec
+                  streams, config: SamplerConfig) -> tuple[np.ndarray, SamplerState]:
+    """Guided logits, and the state keeping each pass's encoder output."""
     feed = np.where(state.mask, 0, state.tokens)  # embedding reads MASK via flags
+
+    def run(drop, enc):  # enc_out only once known, so stand-ins without it still work
+        cached = {} if enc is None else {"enc_out": enc}
+        return model.forward(feed, state.mask, streams, drop, **cached)
+
     with ad.no_grad():
-        cond_logits, _ = model.forward(feed, state.mask, streams, None)
+        cond_logits, cond_enc = run(None, state.cond_enc)
+        state = replace(state, cond_enc=cond_enc)
         if config.gamma > 0 or config.force_two_pass:
-            drop = np.ones(b, dtype=bool)
-            uncond_logits, _ = model.forward(feed, state.mask, streams, drop)
-            return guided_logits(cond_logits.data, uncond_logits.data, config.gamma)
-    return cond_logits.data
+            uncond_logits, null_enc = run(np.ones(len(feed), dtype=bool), state.null_enc)
+            logits = guided_logits(cond_logits.data, uncond_logits.data, config.gamma)
+            return logits, replace(state, null_enc=null_enc)
+    return cond_logits.data, state
 
 
 def sample_step(
@@ -135,7 +142,7 @@ def sample_step(
             f"{int(state.mask.sum())} masked vs expected "
             f"{schedule.masked_counts[n]} per example"
         )
-    logits = _model_logits(model, state, streams, config)
+    logits, state = _model_logits(model, state, streams, config)
     kappa = schedule.masked_counts[n] - schedule.masked_counts[n + 1]
     if kappa == 0:
         return replace(state, step=n + 1)
@@ -163,16 +170,11 @@ def sample_step(
         remask[remask_flat] = True
         remask = remask.reshape(length, levels)
         commit = mask[i] & ~remask
-        if config.resample_committed:
-            keep = ~remask
-            tokens[i][keep] = draw[keep]
-        else:
-            tokens[i][commit] = draw[commit]
+        tokens[i][commit] = draw[commit]
         conf_out[i][commit] = conf[commit]
         mask[i] = remask
         tokens[i][remask] = model.config.spec.mask_token
-    return SamplerState(step=n + 1, tokens=tokens, mask=mask,
-                        confidences=conf_out, rngs=state.rngs)
+    return replace(state, step=n + 1, tokens=tokens, mask=mask, confidences=conf_out)
 
 
 def sample_batch(
@@ -183,7 +185,7 @@ def sample_batch(
     seeds: list[int] | None = None,
     trace: list[str] | None = None,
 ) -> list[Codegram]:
-    """Run the full schedule for a batch of conditioning bundles."""
+    """Run the full schedule for a batch of independent rows; `trace` follows row 0."""
     spec = model.config.spec
     if bundles is not None:
         streams = stack_streams(bundles)
@@ -202,10 +204,8 @@ def sample_batch(
     for _ in range(schedule.n_steps):
         state = sample_step(state, model, streams, config, schedule)
         if trace is not None:
-            committed = np.isfinite(state.confidences)
-            mean_conf = (
-                float(state.confidences[committed].mean()) if committed.any() else 0.0
-            )
+            committed = state.confidences[0][np.isfinite(state.confidences[0])]
+            mean_conf = float(committed.mean()) if committed.size else 0.0
             trace.append(
                 f"{state.step},{schedule.masked_counts[state.step]},{mean_conf!r}"
             )

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from maskgram import cli
 from maskgram.cli import main
 from maskgram.features import save_features
 
@@ -149,6 +150,49 @@ def test_sample_writes_beams_and_trace(dataset, tmp_path, capsys):
     assert (out_dir / "beam_000.cgram").exists()
     assert (out_dir / "beam_001.cgram").exists()
     assert "step,masked_count,mean_confidence" in capsys.readouterr().out
+
+
+def test_sample_trace_follows_beam_zero(dataset, tmp_path, capsys):
+    ckpt = train_tiny(dataset, tmp_path)
+    traces = []
+    for beams in ("1", "3"):
+        capsys.readouterr()
+        assert run([
+            "sample", "--ckpt", str(ckpt), "--data", str(dataset), "--beams", beams,
+            "--steps", "4", "--seed", "5", "--out", str(tmp_path / beams), "--trace",
+        ]) == 0
+        out = capsys.readouterr().out.splitlines()
+        start = out.index("step,masked_count,mean_confidence")
+        traces.append(out[start:start + 5])
+    assert len(traces[0]) == 5
+    assert traces[0] == traces[1]
+
+
+def test_sample_chunks_give_same_bytes_at_any_threads(dataset, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK_ROWS", 2)
+    ckpt = train_tiny(dataset, tmp_path)
+    beams = {}
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads{threads}"
+        assert run([
+            "sample", "--ckpt", str(ckpt), "--data", str(dataset), "--beams", "5",
+            "--steps", "3", "--seed", "8", "--threads", threads, "--out", str(out),
+        ]) == 0
+        beams[threads] = [f.read_bytes() for f in sorted(out.glob("*.cgram"))]
+    assert len(beams["1"]) == 5
+    assert len(set(beams["1"])) > 1
+    assert beams["1"] == beams["3"]
+
+
+def test_sample_truncated_checkpoint_exits_3(dataset, tmp_path, capsys):
+    ckpt = train_tiny(dataset, tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes()[:2000])
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (io):") and err.count("\n") == 1
 
 
 def test_sample_gamma_zero_matches_force_two_pass(dataset, tmp_path):

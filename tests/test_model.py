@@ -5,7 +5,7 @@ import pytest
 
 from maskgram import autodiff as ad
 from maskgram.codegram import Codegram, CodebookSpec, MaskTensor
-from maskgram.errors import NonFiniteError, ValidationError
+from maskgram.errors import NonFiniteError, TruncatedPayloadError, ValidationError
 from maskgram.features import (
     ALIGNMENT_SENSITIVE,
     FRAME_SEMANTIC,
@@ -377,6 +377,31 @@ def test_checkpoint_roundtrip(tmp_path):
         a, _ = model.forward(tokens, mask, streams)
         b, _ = restored.forward(tokens, mask, streams)
     assert (a.data == b.data).all()
+
+
+@pytest.mark.parametrize("length", [12, 100, 2000, -8])
+def test_truncated_checkpoint_payload_raises(tmp_path, length):
+    cfg = tiny_config("seq2seq")
+    model = MaskedGridTransformer(cfg, seed=23)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, {"model": cfg.to_dict()})
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(TruncatedPayloadError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("structure", ["seq2seq", "hybrid"])
+def test_forward_reuses_given_encoder_output(structure, monkeypatch):
+    cfg = tiny_config(structure)
+    model = MaskedGridTransformer(cfg, seed=24)
+    tokens, mask, streams = rand_inputs(cfg, np.random.default_rng(25))
+    drop = np.array([False, True])
+    with ad.no_grad():
+        fresh, enc = model.forward(tokens, mask, streams, drop)
+        monkeypatch.setattr(model, "_encode", lambda *a: pytest.fail("encoder ran"))
+        reused, enc_again = model.forward(tokens, mask, streams, drop, enc_out=enc)
+    assert enc_again is enc
+    assert fresh.data.tobytes() == reused.data.tobytes()
 
 
 def test_forward_single_returns_logits_grid():

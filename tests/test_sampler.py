@@ -284,3 +284,36 @@ def test_trace_records_steps():
     assert trace[0] == "step,masked_count,mean_confidence"
     assert len(trace) == 4
     assert trace[-1].startswith("3,0,")
+
+
+# -- batching and encoder reuse --------------------------------------------------
+
+
+@pytest.mark.parametrize("structure", ["seq2seq", "hybrid"])
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_batched_rows_match_single_row_calls(structure, gamma):
+    model = real_model(seed=7, structure=structure)
+    # the reference runs each row alone and re-encodes at every forward
+    uncached = real_model(seed=7, structure=structure)
+    forward = uncached.forward
+    uncached.forward = lambda *args, enc_out=None: forward(*args)
+    bundles = [make_bundle(seed=s) for s in (8, 9, 8, 10)]
+    seeds = [31, 32, 33, 34]
+    config = SamplerConfig(n_steps=4, gamma=gamma, delta=2.0, seed=0)
+    batched = sample_batch(model, bundles, 6, config, seeds=seeds)
+    for bundle, seed, grid in zip(bundles, seeds, batched):
+        single = sample_batch(uncached, [bundle], 6, config, seeds=[seed])[0]
+        assert grid.tokens.tobytes() == single.tokens.tobytes()
+
+
+@pytest.mark.parametrize("gamma, passes", [(0.0, 1), (2.0, 2)])
+def test_encoder_runs_once_per_pass_per_call(gamma, passes, monkeypatch):
+    model = real_model(seed=11, structure="seq2seq")
+    encode = model._encode
+    calls = []
+    monkeypatch.setattr(model, "_encode", lambda *a: calls.append(1) or encode(*a))
+    config = SamplerConfig(n_steps=5, gamma=gamma, delta=1.0, seed=2)
+    sample_batch(model, [make_bundle(seed=s) for s in range(3)], 6, config,
+                 seeds=[1, 2, 3])
+    assert len(calls) == passes
+    assert model.forward_calls == 5 * passes
