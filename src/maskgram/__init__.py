@@ -8,14 +8,9 @@ synthetic stand-ins for every pretrained component.
 from .codegram import (
     Codegram,
     CodebookSpec,
-    EmbeddingTable,
     MaskTensor,
-    MaskedCodegram,
-    apply_mask,
-    embed_sum,
     load_codegram,
     save_codegram,
-    unmask,
 )
 from .features import ConditioningBundle, FeatureStream, build_conditioning, resample_nn
 from .model import LogitsGrid, MaskedGridTransformer, ModelConfig, StreamSpec
@@ -29,12 +24,10 @@ __all__ = [
     "Codegram",
     "CodebookSpec",
     "ConditioningBundle",
-    "EmbeddingTable",
     "FeatureStream",
     "LogitsGrid",
     "LossBreakdown",
     "MaskTensor",
-    "MaskedCodegram",
     "MaskedGridTransformer",
     "ModelConfig",
     "SampleSchedule",
@@ -42,11 +35,9 @@ __all__ = [
     "StreamSpec",
     "TrainConfig",
     "TrainMaskDraw",
-    "apply_mask",
     "build_conditioning",
     "build_sample_schedule",
     "draw_train_mask",
-    "embed_sum",
     "guided_logits",
     "load_codegram",
     "masked_ce",
@@ -55,6 +46,5 @@ __all__ = [
     "sample",
     "sample_batch",
     "save_codegram",
-    "unmask",
     "__version__",
 ]

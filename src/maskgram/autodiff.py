@@ -140,11 +140,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add `g` to t.grad. `owned` marks a float64 array of t's shape that the
+    calling VJP has just allocated and shares with nothing, so the first
+    gradient is kept as is; views and pass-through arrays are copied."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad += g
 
@@ -186,7 +189,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
+            _accumulate(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -197,9 +200,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -210,9 +213,10 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                        owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -222,7 +226,7 @@ def pow_const(a, exponent: float) -> Tensor:
     out_data = a.data**exponent
 
     def backward(g):
-        _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
+        _accumulate(a, g * exponent * a.data ** (exponent - 1.0), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -232,7 +236,7 @@ def sqrt(a) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def backward(g):
-        _accumulate(a, g * 0.5 / out_data)
+        _accumulate(a, g * 0.5 / out_data, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -242,7 +246,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        _accumulate(a, g * out_data)
+        _accumulate(a, g * out_data, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -252,7 +256,7 @@ def log(a) -> Tensor:
     out_data = np.log(a.data)
 
     def backward(g):
-        _accumulate(a, g / a.data)
+        _accumulate(a, g / a.data, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -262,7 +266,7 @@ def tanh(a) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
+        _accumulate(a, g * (1.0 - out_data * out_data), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -280,8 +284,20 @@ def gelu(a) -> Tensor:
     out_data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        di = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * di))
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2), in d plus one scratch
+        d = x2 * (3.0 * _GELU_A)
+        d += 1.0
+        d *= _GELU_C
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        d *= s
+        d *= x
+        d *= 0.5
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        d += s
+        d *= g
+        _accumulate(a, d, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -342,7 +358,7 @@ def _getitem(a: Tensor, key) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[key] += g
-        _accumulate(a, full)
+        _accumulate(a, full, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -385,7 +401,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size / max(out_data.size, 1)
 
     def backward(g):
-        _accumulate(a, _restore_axes(g, a.data.shape, axis, keepdims) / count)
+        _accumulate(a, _restore_axes(g, a.data.shape, axis, keepdims) / count, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -401,19 +417,40 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
+                        owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
+                        owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight + bias, with weight shaped (in_features, out_features)."""
-    out = matmul(x, weight)
+def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight + bias, with weight (in_features, out_features) and bias
+    (out_features,).
+
+    The forward product keeps numpy's stacked matmul, one GEMM per leading
+    index, so a row's bytes do not depend on the batch size (a GEMM over the
+    flattened rows can round its edge columns differently as the row count
+    changes). The VJPs flatten the leading axes and run one GEMM each.
+    """
+    x = as_tensor(x)
+    out_data = x.data @ weight.data
     if bias is not None:
-        out = add(out, bias)
-    return out
+        out_data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape), owned=True)
+        if weight.requires_grad:
+            _accumulate(weight, x.data.reshape(-1, x.data.shape[-1]).T @ g2, owned=True)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g2.sum(axis=0), owned=True)
+
+    return Tensor._make(out_data, parents, backward)
 
 
 # -- softmax family --------------------------------------------------------------
@@ -427,7 +464,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - dot))
+        _accumulate(a, out_data * (g - dot), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -440,7 +477,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     soft = np.exp(out_data)
 
     def backward(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -467,19 +504,27 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None,
     def backward(g):
         if gamma is not None:
             reduce_axes = tuple(range(g.ndim - 1))
-            _accumulate(gamma, (g * xhat).sum(axis=reduce_axes))
-            _accumulate(beta, g.sum(axis=reduce_axes))
+            _accumulate(gamma, (g * xhat).sum(axis=reduce_axes), owned=True)
+            _accumulate(beta, g.sum(axis=reduce_axes), owned=True)
             dxhat = g * gamma.data
         else:
             dxhat = g
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+        _accumulate(x, inv * (dxhat - m1 - xhat * m2), owned=True)
 
     return Tensor._make(out_data, parents, backward)
 
 
 # -- gathers -------------------------------------------------------------------
+
+
+def _scatter_rows(idx: np.ndarray, g2: np.ndarray, rows: int) -> np.ndarray:
+    """Sum the rows of g2 (N, F) into `rows` rows at idx (N,), repeats adding
+    up, as one GEMM with a (rows, N) one-hot matrix."""
+    onehot = np.zeros((rows, idx.size))
+    onehot[idx, np.arange(idx.size)] = 1.0
+    return onehot @ g2
 
 
 def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -489,25 +534,24 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            _accumulate(table, full)
+            rows, width = table.data.shape
+            full = _scatter_rows(idx.ravel(), g.reshape(-1, width), rows)
+            _accumulate(table, full, owned=True)
 
     return Tensor._make(out_data, (table,), backward)
 
 
 def index_select(a: Tensor, axis: int, idx: np.ndarray) -> Tensor:
-    """Gather along `axis` at integer indices (repeats allowed)."""
+    """Gather along `axis` at 1-D integer indices (repeats allowed)."""
     idx = np.asarray(idx)
     out_data = np.take(a.data, idx, axis=axis)
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            sl = [slice(None)] * a.data.ndim
-            sl[axis] = idx
-            np.add.at(full, tuple(sl), g)
-            _accumulate(a, full)
+            moved = np.moveaxis(g, axis, 0)
+            full = _scatter_rows(idx, moved.reshape(idx.size, -1), a.data.shape[axis])
+            _accumulate(a, np.moveaxis(full.reshape((-1,) + moved.shape[1:]), 0, axis),
+                        owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -521,7 +565,7 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-            _accumulate(a, full)
+            _accumulate(a, full, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -534,9 +578,9 @@ def where(cond: np.ndarray, a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape))
+            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape))
+            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 

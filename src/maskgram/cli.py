@@ -73,6 +73,13 @@ def _print_resolved(command: str, args: argparse.Namespace) -> None:
           + json.dumps(resolved, sort_keys=True, default=str))
 
 
+def _require_positive(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise ValidationError(f"--{flag} must be >= 1, got {value}")
+
+
 def _load_config_defaults(argv: list[str],
                           subparsers: dict[str, argparse.ArgumentParser]) -> None:
     """Apply --config JSON values as subcommand defaults (flags still override)."""
@@ -242,6 +249,7 @@ def _sample_rows(model, bundles, seeds, length, config, threads,
 
 def cmd_sample(args) -> int:
     _print_resolved("sample", args)
+    _require_positive(args, "beams", "threads")
     task, examples, splits = load_dataset(args.data)
     if args.dump_schedule:
         schedule = build_sample_schedule(task.length * task.levels, args.steps)
@@ -284,7 +292,10 @@ def _load_scav(path) -> tuple[dict, ScavConfig]:
     params, _, meta = load_checkpoint(path)
     if "scav" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a scav encoder")
-    return params, ScavConfig(**meta["scav"])
+    try:
+        return params, ScavConfig(**meta["scav"])
+    except TypeError as exc:
+        raise ValidationError(f"{path}: malformed scav config ({exc})") from exc
 
 
 def cmd_select(args) -> int:
@@ -395,6 +406,7 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _print_resolved("pipeline", args)
+    _require_positive(args, "beams", "threads")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = _task_spec_from_args(args)

@@ -1,21 +1,22 @@
-"""Token-grid data model: codebook spec, grids, masks, embed-and-sum, file IO.
+"""Token-grid data model: codebook spec, grids, masks, file IO.
 
 A codegram is an L x K grid of discrete token indices: L time-steps, K
-hierarchical levels sharing one vocabulary size D per level. Level embeddings
-are summed to build the model input sequence. Grids are immutable after
-construction; all operations here are pure.
+hierarchical levels sharing one vocabulary size D per level. Grids are
+immutable after construction; all operations here are pure.
 """
 
 from __future__ import annotations
 
+import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     CorruptHeaderError,
+    MalformedJsonError,
     ShapeMismatchError,
     TokenRangeError,
     TruncatedPayloadError,
@@ -88,20 +89,6 @@ class Codegram:
 
 
 @dataclass(frozen=True)
-class MaskedCodegram:
-    """Codegram with masked entries replaced by the sentinel id vocab_size."""
-
-    tokens: np.ndarray
-    spec: CodebookSpec
-
-    def __post_init__(self):
-        tokens = np.ascontiguousarray(self.tokens, dtype=np.int32)
-        if tokens.min() < 0 or tokens.max() > self.spec.vocab_size:
-            raise TokenRangeError("masked grid entries must lie in [0, vocab_size]")
-        object.__setattr__(self, "tokens", _freeze(tokens))
-
-
-@dataclass(frozen=True)
 class MaskTensor:
     """Boolean L x K grid; True marks a masked position."""
 
@@ -120,83 +107,6 @@ class MaskTensor:
     @staticmethod
     def full(length: int, levels: int, value: bool = True) -> "MaskTensor":
         return MaskTensor(np.full((length, levels), value, dtype=bool))
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Per-level codeword embeddings plus special vectors.
-
-    `tables` is (K, D, E); `mask_vectors` is (K, E) and is distinct storage
-    from the codeword rows (the sentinel id D conceptually selects it).
-    `null_vectors` maps conditioning stream names to their learnable [NULL]
-    replacement vectors.
-    """
-
-    tables: np.ndarray
-    mask_vectors: np.ndarray
-    spec: CodebookSpec
-    null_vectors: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        tables = np.ascontiguousarray(self.tables, dtype=np.float64)
-        mask_vectors = np.ascontiguousarray(self.mask_vectors, dtype=np.float64)
-        expect = (self.spec.levels, self.spec.vocab_size, self.spec.embed_dim)
-        if tables.shape != expect:
-            raise ShapeMismatchError("tables", expect, tables.shape)
-        if mask_vectors.shape != (self.spec.levels, self.spec.embed_dim):
-            raise ShapeMismatchError(
-                "mask_vectors", (self.spec.levels, self.spec.embed_dim), mask_vectors.shape
-            )
-        if not (np.isfinite(tables).all() and np.isfinite(mask_vectors).all()):
-            raise ValidationError("embedding vectors must be finite")
-        object.__setattr__(self, "tables", _freeze(tables))
-        object.__setattr__(self, "mask_vectors", _freeze(mask_vectors))
-
-    @staticmethod
-    def seeded(spec: CodebookSpec, rng: np.random.Generator) -> "EmbeddingTable":
-        """Uniform init in [-1/sqrt(E), +1/sqrt(E)]."""
-        bound = 1.0 / np.sqrt(spec.embed_dim)
-        tables = rng.uniform(-bound, bound, (spec.levels, spec.vocab_size, spec.embed_dim))
-        masks = rng.uniform(-bound, bound, (spec.levels, spec.embed_dim))
-        return EmbeddingTable(tables, masks, spec)
-
-
-def _check_grid_shapes(codegram: Codegram, mask: MaskTensor) -> None:
-    if mask.flags.shape[0] != codegram.tokens.shape[0]:
-        raise ShapeMismatchError("length", codegram.tokens.shape[0], mask.flags.shape[0])
-    if mask.flags.shape[1] != codegram.tokens.shape[1]:
-        raise ShapeMismatchError("levels", codegram.tokens.shape[1], mask.flags.shape[1])
-
-
-def embed_sum(codegram: Codegram, mask: MaskTensor, table: EmbeddingTable) -> np.ndarray:
-    """Sum per-level embeddings into one vector per time-step.
-
-    Masked positions contribute their level's MASK embedding instead of the
-    codeword row. Returns an (L, embed_dim) array.
-    """
-    _check_grid_shapes(codegram, mask)
-    if table.spec != codegram.spec:
-        raise ShapeMismatchError("spec", codegram.spec, table.spec)
-    # (K, D+1, E) with the MASK vector appended as row D per level
-    full = np.concatenate([table.tables, table.mask_vectors[:, None, :]], axis=1)
-    ids = np.where(mask.flags, codegram.spec.mask_token, codegram.tokens)
-    gathered = full[np.arange(codegram.spec.levels)[None, :], ids]  # (L, K, E)
-    return gathered.sum(axis=1)
-
-
-def apply_mask(codegram: Codegram, mask: MaskTensor) -> MaskedCodegram:
-    """Replace masked entries with the sentinel id; the input is untouched."""
-    _check_grid_shapes(codegram, mask)
-    tokens = np.where(mask.flags, codegram.spec.mask_token, codegram.tokens)
-    return MaskedCodegram(tokens, codegram.spec)
-
-
-def unmask(masked: MaskedCodegram, original: Codegram) -> Codegram:
-    """Restore sentinel entries from the original grid."""
-    if masked.tokens.shape != original.tokens.shape:
-        raise ShapeMismatchError("tokens", original.tokens.shape, masked.tokens.shape)
-    tokens = np.where(masked.tokens == original.spec.mask_token, original.tokens, masked.tokens)
-    return Codegram(tokens, original.spec)
 
 
 # -- file format -----------------------------------------------------------------
@@ -234,6 +144,17 @@ def load_codegram(path, embed_dim: int = 8) -> Codegram:
     spec = CodebookSpec(levels=levels, vocab_size=vocab, embed_dim=embed_dim,
                         frame_rate=frame_rate)
     return Codegram(tokens.copy(), spec)
+
+
+def load_json(path) -> dict:
+    """A JSON side file's top-level object; bad JSON is a file-format error."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedJsonError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return data
 
 
 def dump_text(codegram: Codegram) -> str:

@@ -49,3 +49,7 @@ class TokenRangeError(FileFormatError):
 
 class TruncatedPayloadError(FileFormatError):
     """File ended before the declared payload was read."""
+
+
+class MalformedJsonError(FileFormatError):
+    """A JSON side file (checkpoint config, dataset manifest) does not parse."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codegram import Codegram, CodebookSpec, MaskTensor
+from .codegram import Codegram, CodebookSpec, MaskTensor, load_json
 from .errors import (
     CorruptHeaderError,
     MissingStreamError,
@@ -466,11 +466,11 @@ class MaskedGridTransformer:
             self._check_finite(x, f"decoder block {i}")
 
         x = self._norm("trunk.norm", x)
-        level_logits = [
-            ad.reshape(self._lin(f"head.{k}", x), (b, length, 1, cfg.spec.vocab_size))
-            for k in range(levels)
-        ]
-        logits = ad.concat(level_logits, axis=2)
+        # the K level heads run as one (H, K*D) GEMM over their concatenated params
+        head_w = ad.concat([self.params[f"head.{k}.w"] for k in range(levels)], axis=1)
+        head_b = ad.concat([self.params[f"head.{k}.b"] for k in range(levels)], axis=0)
+        logits = ad.reshape(ad.linear(x, head_w, head_b),
+                            (b, length, levels, cfg.spec.vocab_size))
         self._check_finite(logits, "logits head")
         return logits, enc_out
 
@@ -551,16 +551,17 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
     config_path = Path(str(path) + ".json")
     if not config_path.exists():
         raise CorruptHeaderError(f"{config_path}: missing checkpoint config")
-    meta = json.loads(config_path.read_text())
-    return params, extra, meta
+    return params, extra, load_json(config_path)
 
 
 def model_from_checkpoint(path) -> tuple["MaskedGridTransformer", dict[str, Tensor]]:
     params, extra, meta = load_checkpoint(path)
     if "model" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a model")
-    config = ModelConfig.from_dict(meta["model"])
-    model = MaskedGridTransformer(config, seed=0)
+    try:
+        model = MaskedGridTransformer(ModelConfig.from_dict(meta["model"]), seed=0)
+    except (KeyError, TypeError, ValueError) as exc:  # missing or mistyped keys
+        raise ValidationError(f"{path}: malformed model config ({exc!r})") from exc
     missing = set(model.params) ^ set(params)
     if missing:
         raise ValidationError(f"checkpoint/config parameter mismatch: {sorted(missing)}")

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codegram import Codegram, CodebookSpec, load_codegram, save_codegram
+from .codegram import Codegram, CodebookSpec, load_codegram, load_json, save_codegram
 from .errors import ValidationError
 from .features import (
     ALIGNMENT_SENSITIVE,
@@ -226,12 +226,17 @@ def load_dataset(path) -> tuple[SyntheticTaskSpec, list[dict], dict[str, list[in
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{root}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = load_json(manifest_path)
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValidationError(f"{root}: unsupported manifest version")
-    spec = SyntheticTaskSpec(**manifest["task"])
+    try:
+        spec = SyntheticTaskSpec(**manifest["task"])
+        indices = range(manifest["count"])
+        splits = {k: list(v) for k, v in manifest["splits"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:  # missing or mistyped keys
+        raise ValidationError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
     examples = []
-    for i in range(manifest["count"]):
+    for i in indices:
         stem = root / f"ex_{i:05d}"
         cgram = load_codegram(f"{stem}.cgram")
         clip, _ = load_features(f"{stem}.clip.emb")
@@ -243,7 +248,6 @@ def load_dataset(path) -> tuple[SyntheticTaskSpec, list[dict], dict[str, list[in
             "streams": {"clip": clip, "s3d": s3d},
             "target": beats,
         })
-    splits = {k: list(v) for k, v in manifest["splits"].items()}
     return spec, examples, splits
 
 

@@ -168,10 +168,13 @@ class AdamW:
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
             p.data = p.data - lr * (
                 m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
             )

@@ -100,6 +100,61 @@ def test_concat_grads():
     check_op(lambda t: ad.concat([other, t, other], axis=-1), (3, 2))
 
 
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_linear_grads_on_3d_input_used_twice(with_bias):
+    rng = np.random.default_rng(11)
+    w = Tensor(rng.normal(size=(4, 5)))
+    b = Tensor(rng.normal(size=5)) if with_bias else None
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    # every operand also feeds a second op, so one VJP adds into a set .grad
+    check_op(lambda t: ad.concat([ad.linear(t, w, b), t * 2.0], axis=-1), (2, 3, 4))
+    check_op(lambda t: ad.linear(x, t, b) + ad.tsum(t * t), (4, 5))
+    if with_bias:
+        check_op(lambda t: ad.linear(x, w, t) + t * 3.0, (5,))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_pass_through_grads_are_copied(swap):
+    # add hands one array to both parents and tsum a read-only broadcast view;
+    # each parent needs its own writable gradient, whichever VJP runs first
+    rng = np.random.default_rng(16)
+    w1, w2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    first, second = ad.tsum((x + y) * w1), ad.tsum(x * w2) + ad.tsum(y)
+    (second + first if swap else first + second).backward()
+    np.testing.assert_allclose(x.grad, w1 + w2, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(y.grad, w1 + 1.0, rtol=1e-15, atol=1e-15)
+
+
+def test_linear_grads_add_onto_existing_grads():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    seed = rng.normal(size=(2, 3, 5))
+    ad.linear(x, w, b).backward(seed)
+    first = [t.grad.copy() for t in (x, w, b)]
+    ad.linear(x, w, b).backward(seed)
+    for t, g in zip((x, w, b), first):
+        np.testing.assert_array_equal(t.grad, 2.0 * g)
+    np.testing.assert_allclose(w.grad, 2.0 * np.einsum("bli,blo->io", x.data, seed),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_in,n_out", [(96, 96), (96, 384), (384, 96), (96, 260)])
+def test_linear_row_bytes_do_not_depend_on_batch(n_in, n_out):
+    # sample_batch's batched rows equal single-row calls only if this holds
+    rng = np.random.default_rng(13)
+    w = Tensor(rng.uniform(-0.1, 0.1, (n_in, n_out)))
+    b = Tensor(rng.normal(size=n_out))
+    x = rng.normal(size=(200, 32, n_in))
+    batched = ad.linear(Tensor(x), w, b).data
+    for row in (0, 117, 199):
+        single = ad.linear(Tensor(x[row:row + 1]), w, b).data
+        assert single.tobytes() == batched[row:row + 1].tobytes()
+
+
 def test_softmax_and_log_softmax_grads():
     check_op(lambda t: ad.softmax(t, axis=-1), (3, 5))
     check_op(lambda t: ad.log_softmax(t, axis=-1), (3, 5))
@@ -137,6 +192,32 @@ def test_gather_ops():
     check_op(lambda t: ad.index_select(t, 1, sel), (2, 3, 4))
     pick = rng.integers(0, 4, size=(2, 3))
     check_op(lambda t: ad.take_along_last(t, pick), (2, 3, 4))
+
+
+def test_embedding_grad_with_repeats_matches_add_at():
+    rng = np.random.default_rng(14)
+    table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    idx = np.array([[0, 2, 2, 5], [5, 0, 2, 2]])
+    seed = rng.normal(size=(2, 4, 3))
+    ad.embedding(table, idx).backward(seed)
+    expected = np.zeros((6, 3))
+    np.add.at(expected, idx, seed)
+    np.testing.assert_allclose(table.grad, expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_index_select_grad_with_repeats_matches_add_at(axis):
+    rng = np.random.default_rng(15)
+    a = Tensor(rng.normal(size=(4, 5, 3)), requires_grad=True)
+    sel = np.array([2, 0, 2, 2, 1, 0])
+    out = ad.index_select(a, axis, sel)
+    seed = rng.normal(size=out.shape)
+    out.backward(seed)
+    expected = np.zeros(a.shape)
+    key = [slice(None)] * 3
+    key[axis] = sel
+    np.add.at(expected, tuple(key), seed)
+    np.testing.assert_allclose(a.grad, expected, rtol=1e-13, atol=1e-13)
 
 
 def test_where_grads():

@@ -282,3 +282,81 @@ def test_eval_mixed_path_types_exits_4(dataset, tmp_path):
     emb = tmp_path / "e.emb"
     save_features(emb, rng.normal(size=(4, 3)).astype(np.float32), "x")
     assert run(["eval", "--generated", str(dataset), "--reference", str(emb)]) == 4
+
+
+def _assert_one_line_error(capsys, kind: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({kind}):") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--beams"])
+def test_sample_nonpositive_count_exits_4(dataset, tmp_path, capsys, flag):
+    ckpt = train_tiny(dataset, tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "s"
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset), flag, "0",
+                "--out", str(out)])
+    assert code == 4
+    _assert_one_line_error(capsys, "validation")
+    assert not out.exists()
+
+
+def test_pipeline_zero_threads_exits_4(tmp_path, capsys):
+    out = tmp_path / "p"
+    argv = gen_args(out, count=40)[1:]
+    assert run(["pipeline", *argv, "--threads", "0"]) == 4
+    _assert_one_line_error(capsys, "validation")
+    assert not out.exists()
+
+
+def test_checkpoint_config_not_json_exits_3(dataset, tmp_path, capsys):
+    ckpt = train_tiny(dataset, tmp_path)
+    (tmp_path / "model.ckpt.json").write_text('{"model": ')
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 3
+    _assert_one_line_error(capsys, "io")
+
+
+@pytest.mark.parametrize("damage", ["drop-spec", "string-depth", "list-meta"])
+def test_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys,
+                                                           damage):
+    ckpt = train_tiny(dataset, tmp_path)
+    meta_path = tmp_path / "model.ckpt.json"
+    meta = json.loads(meta_path.read_text())
+    if damage == "drop-spec":
+        del meta["model"]["spec"]
+    elif damage == "string-depth":
+        meta["model"]["depth"] = "one"
+    else:
+        meta = [meta]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 4
+    _assert_one_line_error(capsys, "validation")
+
+
+def test_manifest_not_json_exits_3(dataset, tmp_path, capsys):
+    (dataset / "manifest.json").write_text("{not json")
+    capsys.readouterr()
+    code = run(["sample", "--data", str(dataset), "--dump-schedule"])
+    assert code == 3
+    _assert_one_line_error(capsys, "io")
+
+
+@pytest.mark.parametrize("damage", ["drop-splits", "string-count"])
+def test_manifest_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys, damage):
+    path = dataset / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if damage == "drop-splits":
+        del manifest["splits"]
+    else:
+        manifest["count"] = "twelve"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run(["sample", "--data", str(dataset), "--dump-schedule"])
+    assert code == 4
+    _assert_one_line_error(capsys, "validation")

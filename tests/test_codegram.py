@@ -1,4 +1,4 @@
-"""Token-grid data model: embed-and-sum, masking, file round-trips."""
+"""Token-grid data model: validation, immutability, file round-trips."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,13 @@ import pytest
 from maskgram.codegram import (
     Codegram,
     CodebookSpec,
-    EmbeddingTable,
     MaskTensor,
-    apply_mask,
     dump_text,
-    embed_sum,
     load_codegram,
     save_codegram,
-    unmask,
 )
 from maskgram.errors import (
     CorruptHeaderError,
-    ShapeMismatchError,
     TokenRangeError,
     TruncatedPayloadError,
     ValidationError,
@@ -59,108 +54,6 @@ def test_codegram_is_immutable():
     grid = Codegram(np.zeros((3, 2), dtype=np.int32), spec)
     with pytest.raises(ValueError):
         grid.tokens[0, 0] = 1
-
-
-def test_embed_sum_single_level_all_masked():
-    spec = small_spec(levels=1)
-    rng = np.random.default_rng(0)
-    table = EmbeddingTable.seeded(spec, rng)
-    grid = random_codegram(rng, spec, length=5)
-    out = embed_sum(grid, MaskTensor.full(5, 1, True), table)
-    np.testing.assert_array_equal(out, np.tile(table.mask_vectors[0], (5, 1)))
-
-
-def test_embed_sum_one_hot_tables():
-    # two levels, tables hold one-hot basis rows: output is the sum of two bases
-    spec = small_spec(levels=2, vocab=4, dim=4)
-    tables = np.zeros((2, 4, 4))
-    for k in range(2):
-        tables[k] = np.eye(4)
-    table = EmbeddingTable(tables, np.zeros((2, 4)), spec)
-    tokens = np.array([[0, 1], [2, 3], [1, 1]])
-    grid = Codegram(tokens, spec)
-    out = embed_sum(grid, MaskTensor.full(3, 2, False), table)
-    expected = np.eye(4)[tokens[:, 0]] + np.eye(4)[tokens[:, 1]]
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_embed_sum_matches_position_loop_oracle():
-    spec = CodebookSpec(levels=9, vocab_size=16, embed_dim=5)
-    rng = np.random.default_rng(42)
-    table = EmbeddingTable.seeded(spec, rng)
-    grid = random_codegram(rng, spec, length=4)
-    mask = MaskTensor(rng.random((4, 9)) < 0.5)
-
-    out = embed_sum(grid, mask, table)
-
-    oracle = np.zeros((4, 5))
-    for l in range(4):
-        for k in range(9):
-            if mask.flags[l, k]:
-                oracle[l] += table.mask_vectors[k]
-            else:
-                oracle[l] += table.tables[k, grid.tokens[l, k]]
-    np.testing.assert_allclose(out, oracle, atol=1e-15)
-
-
-def test_embed_sum_linear_in_tables():
-    spec = small_spec()
-    rng = np.random.default_rng(3)
-    table = EmbeddingTable.seeded(spec, rng)
-    scaled = EmbeddingTable(2.5 * table.tables, 2.5 * table.mask_vectors, spec)
-    grid = random_codegram(rng, spec)
-    mask = MaskTensor(rng.random((6, 2)) < 0.3)
-    np.testing.assert_allclose(
-        embed_sum(grid, mask, scaled), 2.5 * embed_sum(grid, mask, table), atol=1e-12
-    )
-
-
-def test_embed_sum_all_masked_ignores_tokens():
-    spec = small_spec()
-    rng = np.random.default_rng(4)
-    table = EmbeddingTable.seeded(spec, rng)
-    a = random_codegram(rng, spec)
-    b = random_codegram(rng, spec)
-    mask = MaskTensor.full(6, 2, True)
-    np.testing.assert_array_equal(
-        embed_sum(a, mask, table), embed_sum(b, mask, table)
-    )
-
-
-def test_embed_sum_shape_mismatch_names_dimension():
-    spec = small_spec()
-    rng = np.random.default_rng(5)
-    table = EmbeddingTable.seeded(spec, rng)
-    grid = random_codegram(rng, spec, length=4)
-    with pytest.raises(ShapeMismatchError) as err:
-        embed_sum(grid, MaskTensor.full(5, 2, False), table)
-    assert "length" in str(err.value)
-
-
-def test_apply_mask_identity_and_full():
-    spec = small_spec()
-    rng = np.random.default_rng(6)
-    grid = random_codegram(rng, spec)
-    none = apply_mask(grid, MaskTensor.full(6, 2, False))
-    np.testing.assert_array_equal(none.tokens, grid.tokens)
-    full = apply_mask(grid, MaskTensor.full(6, 2, True))
-    assert (full.tokens == spec.mask_token).all()
-
-
-def test_apply_mask_matches_elementwise_oracle_and_roundtrip():
-    spec = small_spec()
-    rng = np.random.default_rng(7)
-    grid = random_codegram(rng, spec)
-    mask = MaskTensor(rng.random((6, 2)) < 0.5)
-    masked = apply_mask(grid, mask)
-    for l in range(6):
-        for k in range(2):
-            expected = spec.mask_token if mask.flags[l, k] else grid.tokens[l, k]
-            assert masked.tokens[l, k] == expected
-    # original untouched; unmask restores identity
-    assert grid.tokens.max() < spec.vocab_size
-    restored = unmask(masked, grid)
-    np.testing.assert_array_equal(restored.tokens, grid.tokens)
 
 
 def test_file_roundtrip(tmp_path):
