@@ -12,7 +12,7 @@ from .codegram import (
     load_codegram,
     save_codegram,
 )
-from .features import ConditioningBundle, FeatureStream, build_conditioning, resample_nn
+from .features import ConditioningBundle, FeatureStream, resample_nn
 from .model import LogitsGrid, MaskedGridTransformer, ModelConfig, StreamSpec
 from .sampler import SamplerConfig, guided_logits, sample, sample_batch
 from .scheduler import SampleSchedule, TrainMaskDraw, build_sample_schedule, draw_train_mask
@@ -35,7 +35,6 @@ __all__ = [
     "StreamSpec",
     "TrainConfig",
     "TrainMaskDraw",
-    "build_conditioning",
     "build_sample_schedule",
     "draw_train_mask",
     "guided_logits",

@@ -52,8 +52,13 @@ from .synthetic import (
 from .train import TrainConfig, evaluate_masked_accuracy, init_aux_params, train_model
 
 CONFIG_VERSION = 1
-# rows per sample_batch call; fixed, so chunks never depend on --threads
+# A sample_batch call gets ceil(rows / --threads) rows within these bounds; a row's
+# bytes do not depend on which rows share its call. The cap bounds one call's
+# activations. The floor: on 2 cores two 4-row chunks ran 1.49x as fast as one
+# 8-row call at the CLI-default model (two 1-row chunks 0.82x, GIL contention),
+# but 0.31x as fast at the criterion-10 model (hidden 32), so 8 rows stay one call.
 SAMPLE_CHUNK_ROWS = 64
+MIN_CHUNK_ROWS = 8
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,7 +82,7 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
     for flag in flags:
         value = getattr(args, flag)
         if value < 1:
-            raise ValidationError(f"--{flag} must be >= 1, got {value}")
+            raise ValidationError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _load_config_defaults(argv: list[str],
@@ -233,13 +238,15 @@ def cmd_train(args) -> int:
 
 def _sample_rows(model, bundles, seeds, length, config, threads,
                  trace=None) -> list[Codegram]:
-    """sample_batch over fixed-size row chunks, which `threads` workers share."""
+    """sample_batch over row chunks split evenly across `threads` workers, in order."""
+    size = min(SAMPLE_CHUNK_ROWS, max(MIN_CHUNK_ROWS, -(-len(bundles) // threads)))
+
     def run_chunk(start: int) -> list[Codegram]:
-        rows = slice(start, start + SAMPLE_CHUNK_ROWS)
+        rows = slice(start, start + size)
         return sample_batch(model, bundles[rows], length, config, seeds=seeds[rows],
                             trace=trace if start == 0 else None)
 
-    starts = range(0, len(bundles), SAMPLE_CHUNK_ROWS)
+    starts = range(0, len(bundles), size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # a lone worker runs here: a pool thread (started on first map) would add
         # its own malloc arena to the peak RSS and nothing else
@@ -406,7 +413,8 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _print_resolved("pipeline", args)
-    _require_positive(args, "beams", "threads")
+    _require_positive(args, "beams", "threads", "eval_count", "train_steps", "scav_steps",
+                      "batch_size")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = _task_spec_from_args(args)
@@ -569,7 +577,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--video", required=True, help="clip-like feature file")
     p.add_argument("--candidates", nargs="+", required=True,
                    help=".emb feature files or .cgram grids")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_select)
 
     p = add_parser("eval", help="objective metrics between generated and reference")
@@ -577,7 +584,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--reference", required=True)
     p.add_argument("--kernel-size", type=int, default=16)
     p.add_argument("--report")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = add_parser("pipeline", help="gen-data -> train -> sample -> select -> eval")

@@ -19,6 +19,7 @@ from .errors import (
     MalformedJsonError,
     ShapeMismatchError,
     TokenRangeError,
+    TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
 )
@@ -135,8 +136,9 @@ def load_codegram(path, embed_dim: int = 8) -> Codegram:
     if length < 1 or levels < 1 or vocab < 2:
         raise CorruptHeaderError(f"{path}: invalid dims L={length} K={levels} D={vocab}")
     expected = _HEADER.size + 4 * length * levels
-    if len(raw) < expected:
-        raise TruncatedPayloadError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    if len(raw) != expected:
+        error = TruncatedPayloadError if len(raw) < expected else TrailingBytesError
+        raise error(f"{path}: expected {expected} bytes, got {len(raw)}")
     tokens = np.frombuffer(raw, dtype="<i4", count=length * levels, offset=_HEADER.size)
     tokens = tokens.reshape(length, levels)
     if tokens.min() < 0 or tokens.max() >= vocab:

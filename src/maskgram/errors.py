@@ -51,5 +51,9 @@ class TruncatedPayloadError(FileFormatError):
     """File ended before the declared payload was read."""
 
 
+class TrailingBytesError(FileFormatError):
+    """File holds bytes after the declared payload."""
+
+
 class MalformedJsonError(FileFormatError):
     """A JSON side file (checkpoint config, dataset manifest) does not parse."""

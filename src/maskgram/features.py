@@ -20,6 +20,7 @@ from .errors import (
     CorruptHeaderError,
     MissingStreamError,
     ShapeMismatchError,
+    TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
 )
@@ -78,9 +79,6 @@ class ConditioningBundle:
                 return s
         raise MissingStreamError(f"no stream named {name!r}")
 
-    def by_role(self, role: str) -> list[FeatureStream]:
-        return [s for s in self.streams if s.role == role]
-
 
 def resample_indices(n_in: int, n_out: int) -> np.ndarray:
     """Source index per output frame: round-half-down(j * n_in / n_out), clamped.
@@ -101,31 +99,6 @@ def resample_nn(seq: np.ndarray, n_out: int) -> np.ndarray:
     """Nearest-neighbor resampling (frame repetition) along the first axis."""
     seq = np.asarray(seq)
     return seq[resample_indices(seq.shape[0], n_out)]
-
-
-def build_conditioning(bundle: ConditioningBundle, structure: str,
-                       target_len: int | None = None) -> np.ndarray:
-    """Channel-wise concatenation of streams at a structure-dependent length.
-
-    adaln: every stream is resampled to `target_len` (the token length).
-    seq2seq: the frame-semantic stream keeps its length and the rest are
-    resampled to it.
-    """
-    if structure == "adaln":
-        if target_len is None or target_len < 1:
-            raise ValidationError("adaln conditioning requires a positive target_len")
-        parts = [resample_nn(s.sequence, target_len) for s in bundle.streams]
-    elif structure == "seq2seq":
-        semantic = bundle.by_role(FRAME_SEMANTIC)
-        if not semantic:
-            raise MissingStreamError(
-                "seq2seq conditioning requires a frame-semantic stream"
-            )
-        anchor_len = semantic[0].frames
-        parts = [resample_nn(s.sequence, anchor_len) for s in bundle.streams]
-    else:
-        raise ValidationError(f"unknown structure {structure!r}")
-    return np.concatenate(parts, axis=1)
 
 
 # -- feature file format -----------------------------------------------------
@@ -162,8 +135,9 @@ def load_features(path) -> tuple[np.ndarray, str]:
     name = raw[offset:offset + name_len].decode("utf-8")
     offset += name_len
     expected = offset + 4 * n * d
-    if len(raw) < expected:
-        raise TruncatedPayloadError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    if len(raw) != expected:
+        error = TruncatedPayloadError if len(raw) < expected else TrailingBytesError
+        raise error(f"{path}: expected {expected} bytes, got {len(raw)}")
     matrix = np.frombuffer(raw, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
     return matrix.astype(np.float64), name
 

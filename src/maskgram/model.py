@@ -29,6 +29,7 @@ from .errors import (
     MissingStreamError,
     NonFiniteError,
     ShapeMismatchError,
+    TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
 )
@@ -548,6 +549,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
             extra[name[len("extra."):]] = tensor
         else:
             params[name] = tensor
+    if offset != len(raw):
+        raise TrailingBytesError(f"{path}: {len(raw) - offset} bytes after the last record")
     config_path = Path(str(path) + ".json")
     if not config_path.exists():
         raise CorruptHeaderError(f"{config_path}: missing checkpoint config")

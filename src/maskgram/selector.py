@@ -169,6 +169,9 @@ def train_scav(
     """Fit the encoder pair on (clip-like, beats-like) feature sequences."""
     if len(pairs) < 2:
         raise ValidationError("training requires at least two pairs")
+    if steps < 1 or batch_size < 2:
+        raise ValidationError(f"scav training needs steps >= 1 and batch_size >= 2, "
+                              f"got {steps} and {batch_size}")
     params = init_scav_params(config, seed)
     optimizer = AdamW(params, weight_decay=1e-5)
     rng = np.random.default_rng(derive_seed(seed, "scav-train"))

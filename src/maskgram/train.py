@@ -214,6 +214,14 @@ class TrainConfig:
     lambda_cont: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.warmup < 0:
+            raise ValidationError(f"warmup must be >= 0, got {self.warmup}")
+
     def schedule(self) -> LrSchedule:
         return LrSchedule(peak=self.peak_lr, floor=self.floor_lr,
                           warmup=self.warmup, total=self.steps)

@@ -184,6 +184,41 @@ def test_sample_chunks_give_same_bytes_at_any_threads(dataset, tmp_path, monkeyp
     assert beams["1"] == beams["3"]
 
 
+def test_sample_splits_rows_evenly_across_threads(dataset, tmp_path):
+    ckpt = train_tiny(dataset, tmp_path)
+    beams = {}
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"threads{threads}"
+        assert run([
+            "sample", "--ckpt", str(ckpt), "--data", str(dataset), "--beams", "16",
+            "--steps", "3", "--seed", "8", "--threads", threads, "--out", str(out),
+        ]) == 0
+        beams[threads] = [f.read_bytes() for f in sorted(out.glob("*.cgram"))]
+    assert len(beams["1"]) == 16
+    assert len(set(beams["1"])) > 1
+    assert beams["1"] == beams["2"] == beams["3"]
+
+
+@pytest.mark.parametrize("beams, threads, rows", [
+    ("16", "1", [16]), ("16", "2", [8, 8]), ("2", "2", [2]),
+])
+def test_sample_chunk_rows_per_call(dataset, tmp_path, monkeypatch, beams, threads, rows):
+    ckpt = train_tiny(dataset, tmp_path)
+    calls = []
+    sample_batch = cli.sample_batch
+
+    def spy(model, bundles, *args, **kwargs):
+        calls.append(len(bundles))
+        return sample_batch(model, bundles, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_batch", spy)
+    assert run([
+        "sample", "--ckpt", str(ckpt), "--data", str(dataset), "--beams", beams,
+        "--steps", "2", "--threads", threads, "--out", str(tmp_path / "s"),
+    ]) == 0
+    assert sorted(calls) == rows
+
+
 def test_sample_truncated_checkpoint_exits_3(dataset, tmp_path, capsys):
     ckpt = train_tiny(dataset, tmp_path)
     ckpt.write_bytes(ckpt.read_bytes()[:2000])
@@ -193,6 +228,16 @@ def test_sample_truncated_checkpoint_exits_3(dataset, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error (io):") and err.count("\n") == 1
+
+
+def test_sample_checkpoint_trailing_byte_exits_3(dataset, tmp_path, capsys):
+    ckpt = train_tiny(dataset, tmp_path)
+    ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 3
+    _assert_one_line_error(capsys, "io")
 
 
 def test_sample_gamma_zero_matches_force_two_pass(dataset, tmp_path):
@@ -305,6 +350,27 @@ def test_pipeline_zero_threads_exits_4(tmp_path, capsys):
     out = tmp_path / "p"
     argv = gen_args(out, count=40)[1:]
     assert run(["pipeline", *argv, "--threads", "0"]) == 4
+    _assert_one_line_error(capsys, "validation")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", ["model", "scav"])
+@pytest.mark.parametrize("flag", ["--steps", "--batch-size"])
+def test_train_zero_count_exits_4(dataset, tmp_path, capsys, flag, what):
+    ckpt = tmp_path / "model.ckpt"
+    capsys.readouterr()
+    assert run(["train", "--data", str(dataset), "--out", str(ckpt), "--what", what,
+                flag, "0"]) == 4
+    _assert_one_line_error(capsys, "validation")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("flag", ["--batch-size", "--eval-count", "--train-steps",
+                                  "--scav-steps"])
+def test_pipeline_zero_count_exits_4(tmp_path, capsys, flag):
+    out = tmp_path / "p"
+    argv = gen_args(out, count=40)[1:]
+    assert run(["pipeline", *argv, flag, "0"]) == 4
     _assert_one_line_error(capsys, "validation")
     assert not out.exists()
 

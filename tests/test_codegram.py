@@ -14,6 +14,7 @@ from maskgram.codegram import (
 from maskgram.errors import (
     CorruptHeaderError,
     TokenRangeError,
+    TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
 )
@@ -106,6 +107,14 @@ def test_load_rejects_truncated_payload(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-5])
     with pytest.raises(TruncatedPayloadError):
+        load_codegram(path)
+
+
+def test_load_rejects_trailing_byte(tmp_path):
+    path = tmp_path / "long.cgram"
+    save_codegram(Codegram(np.zeros((4, 2), dtype=np.int32), small_spec()), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(TrailingBytesError):
         load_codegram(path)
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskgram.errors import (
-    MissingStreamError,
     ShapeMismatchError,
+    TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
 )
@@ -16,7 +16,6 @@ from maskgram.features import (
     FRAME_SEMANTIC,
     ConditioningBundle,
     FeatureStream,
-    build_conditioning,
     load_features,
     resample_indices,
     resample_nn,
@@ -87,44 +86,6 @@ def test_stream_validation():
         FeatureStream("x", np.zeros((2, 2)), "other-role")
 
 
-def test_build_conditioning_single_stream_unchanged():
-    rng = np.random.default_rng(1)
-    stream = FeatureStream("clip", rng.normal(size=(6, 4)), FRAME_SEMANTIC)
-    b = ConditioningBundle((stream,))
-    out = build_conditioning(b, "adaln", target_len=6)
-    np.testing.assert_array_equal(out, stream.sequence)
-
-
-def test_build_conditioning_concat_width():
-    out = build_conditioning(bundle(clip_dim=4, s3d_dim=6), "adaln", target_len=8)
-    assert out.shape == (8, 10)
-
-
-def test_build_conditioning_matches_manual_oracle():
-    b = bundle(clip_frames=5, s3d_frames=3, seed=3)
-    out = build_conditioning(b, "adaln", target_len=8)
-    manual = np.concatenate(
-        [resample_nn(b.streams[0].sequence, 8), resample_nn(b.streams[1].sequence, 8)],
-        axis=1,
-    )
-    np.testing.assert_array_equal(out, manual)
-
-
-def test_build_conditioning_seq2seq_anchors_on_semantic_stream():
-    b = bundle(clip_frames=5, s3d_frames=3)
-    out = build_conditioning(b, "seq2seq")
-    assert out.shape == (5, 10)
-
-
-def test_build_conditioning_seq2seq_requires_semantic_role():
-    rng = np.random.default_rng(2)
-    b = ConditioningBundle((
-        FeatureStream("s3d", rng.normal(size=(3, 6)), ALIGNMENT_SENSITIVE),
-    ))
-    with pytest.raises(MissingStreamError):
-        build_conditioning(b, "seq2seq")
-
-
 def test_feature_file_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     mat = rng.normal(size=(7, 5)).astype(np.float32)
@@ -140,6 +101,14 @@ def test_feature_file_truncation(tmp_path):
     save_features(path, np.zeros((4, 4), dtype=np.float32), "x")
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(TruncatedPayloadError):
+        load_features(path)
+
+
+def test_feature_file_trailing_byte(tmp_path):
+    path = tmp_path / "long.emb"
+    save_features(path, np.zeros((4, 4), dtype=np.float32), "x")
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(TrailingBytesError):
         load_features(path)
 
 

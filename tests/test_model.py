@@ -5,7 +5,12 @@ import pytest
 
 from maskgram import autodiff as ad
 from maskgram.codegram import Codegram, CodebookSpec, MaskTensor
-from maskgram.errors import NonFiniteError, TruncatedPayloadError, ValidationError
+from maskgram.errors import (
+    NonFiniteError,
+    TrailingBytesError,
+    TruncatedPayloadError,
+    ValidationError,
+)
 from maskgram.features import (
     ALIGNMENT_SENSITIVE,
     FRAME_SEMANTIC,
@@ -387,6 +392,16 @@ def test_truncated_checkpoint_payload_raises(tmp_path, length):
     save_checkpoint(path, model.params, {"model": cfg.to_dict()})
     path.write_bytes(path.read_bytes()[:length])
     with pytest.raises(TruncatedPayloadError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_byte_raises(tmp_path):
+    cfg = tiny_config("seq2seq")
+    model = MaskedGridTransformer(cfg, seed=23)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, {"model": cfg.to_dict()})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(TrailingBytesError):
         load_checkpoint(path)
 
 

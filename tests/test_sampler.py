@@ -289,7 +289,7 @@ def test_trace_records_steps():
 # -- batching and encoder reuse --------------------------------------------------
 
 
-@pytest.mark.parametrize("structure", ["seq2seq", "hybrid"])
+@pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
 def test_batched_rows_match_single_row_calls(structure, gamma):
     model = real_model(seed=7, structure=structure)

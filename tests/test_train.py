@@ -231,6 +231,13 @@ def test_loss_breakdown_total_weighted_sum():
         assert loss.total == parts[0] + lr_ * parts[1] + lc_ * parts[2]
 
 
+@pytest.mark.parametrize("field, value", [("steps", 0), ("batch_size", 0), ("warmup", -1)])
+def test_train_config_rejects_out_of_range_counts(field, value):
+    with pytest.raises(ValidationError, match=field):
+        TrainConfig(**{field: value})
+    TrainConfig(warmup=0)
+
+
 def test_lr_warmup_midpoint_is_half_peak():
     sched = LrSchedule(peak=2e-4, floor=1e-6, warmup=100, total=1000)
     assert sched.at(50) == pytest.approx(1e-4, abs=1e-12 * 1e-4)
