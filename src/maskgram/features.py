@@ -132,7 +132,10 @@ def load_features(path) -> tuple[np.ndarray, str]:
     offset = _HEADER.size
     if len(raw) < offset + name_len:
         raise TruncatedPayloadError(f"{path}: header name truncated")
-    name = raw[offset:offset + name_len].decode("utf-8")
+    try:
+        name = raw[offset:offset + name_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptHeaderError(f"{path}: stream name is not UTF-8") from exc
     offset += name_len
     expected = offset + 4 * n * d
     if len(raw) != expected:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,13 +160,21 @@ def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=4)
+def _mfcc_constants(sample_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hann window, mel bank and DCT matrix, built once per rate and read-only."""
+    arrays = (np.hanning(WINDOW), _mel_filterbank(WINDOW, sample_rate, N_MELS),
+              _dct_matrix(N_MFCC, N_MELS))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def mfcc_like_frontend(signal: np.ndarray, sample_rate: float = 44100.0) -> EmbeddingSet:
     """Framewise 64-dim cepstral vectors from a 1-D signal."""
     signal = np.asarray(signal, dtype=np.float64).ravel()
     n_frames = frame_count(signal.size)
-    window = np.hanning(WINDOW)
-    bank = _mel_filterbank(WINDOW, sample_rate, N_MELS)
-    dct = _dct_matrix(N_MFCC, N_MELS)
+    window, bank, dct = _mfcc_constants(sample_rate)
     frames = np.lib.stride_tricks.sliding_window_view(signal, WINDOW)[::SHIFT][:n_frames]
     spectra = np.abs(np.fft.rfft(frames * window, axis=-1))
     mel_energy = spectra @ bank.T

@@ -529,7 +529,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
     offset = 10
     params: dict[str, Tensor] = {}
     extra: dict[str, Tensor] = {}
-    for _ in range(count):
+    for index in range(count):
         try:
             (name_len,) = struct.unpack_from("<H", raw, offset)
             offset += 2
@@ -542,8 +542,10 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
             size = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
             offset += 8 * size
+        except UnicodeDecodeError as exc:
+            raise CorruptHeaderError(f"{path}: record {index} name is not UTF-8") from exc
         except (struct.error, ValueError) as exc:  # frombuffer: ValueError on short data
-            raise TruncatedPayloadError(f"{path}: truncated record") from exc
+            raise TruncatedPayloadError(f"{path}: truncated record {index}") from exc
         tensor = Tensor(arr.reshape(shape).copy(), requires_grad=True)
         if name.startswith("extra."):
             extra[name[len("extra."):]] = tensor

@@ -1,10 +1,14 @@
 """Iterative parallel decoding from a fully masked grid.
 
 Each step: run the model conditionally (and unconditionally when guidance is
-on), combine logits as (1+gamma)*cond - gamma*uncond, draw a token per masked
-position from the tempered multinomial, score each draw by its log-probability
-plus annealed Gumbel noise, then re-mask the schedule's next masked count of
-lowest-confidence draws and commit the rest. Committed positions are frozen.
+on) over the whole grid, then keep only the still-masked positions. At those
+positions combine logits as (1+gamma)*cond - gamma*uncond, draw a token from
+the tempered multinomial and score each draw by its log-probability plus
+annealed Gumbel noise; the draw runs as one array operation over every row.
+Then re-mask the schedule's next masked count of lowest-confidence draws per
+row and commit the rest. Committed positions are frozen. Each row keeps its
+own generator, which draws the same numbers as a row sampled alone, so a
+row's bytes do not depend on the batch.
 """
 
 from __future__ import annotations
@@ -82,15 +86,16 @@ def confidence(log_probs: np.ndarray, delta_n: float,
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = np.empty_like(x)
+    ad._row_blocks(ad._log_softmax_rows, x, out)
+    return out
 
 
-def _multinomial(log_probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw per position over the last axis."""
+def _multinomial(log_probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per position over the last axis, one uniform each."""
     probs = np.exp(log_probs)
     cdf = np.cumsum(probs, axis=-1)
-    u = rng.random(log_probs.shape[:-1]) * cdf[..., -1]
+    u = uniforms * cdf[..., -1]
     draw = (u[..., None] >= cdf).sum(axis=-1)
     return np.minimum(draw, log_probs.shape[-1] - 1)
 
@@ -108,7 +113,8 @@ def init_state(batch: int, length: int, levels: int, spec: CodebookSpec,
 
 def _model_logits(model: MaskedGridTransformer, state: SamplerState,
                   streams, config: SamplerConfig) -> tuple[np.ndarray, SamplerState]:
-    """Guided logits, and the state keeping each pass's encoder output."""
+    """Guided logits at the masked positions, (masked, D) in row-major order,
+    and the state keeping each pass's encoder output."""
     feed = np.where(state.mask, 0, state.tokens)  # embedding reads MASK via flags
 
     def run(drop, enc):  # enc_out only once known, so stand-ins without it still work
@@ -118,11 +124,12 @@ def _model_logits(model: MaskedGridTransformer, state: SamplerState,
     with ad.no_grad():
         cond_logits, cond_enc = run(None, state.cond_enc)
         state = replace(state, cond_enc=cond_enc)
+        cond = cond_logits.data[state.mask]
         if config.gamma > 0 or config.force_two_pass:
             uncond_logits, null_enc = run(np.ones(len(feed), dtype=bool), state.null_enc)
-            logits = guided_logits(cond_logits.data, uncond_logits.data, config.gamma)
+            logits = guided_logits(cond, uncond_logits.data[state.mask], config.gamma)
             return logits, replace(state, null_enc=null_enc)
-    return cond_logits.data, state
+    return cond, state
 
 
 def sample_step(
@@ -147,34 +154,37 @@ def sample_step(
     if kappa == 0:
         return replace(state, step=n + 1)
 
-    log_probs = _log_softmax(logits / config.temperature)
+    if config.temperature != 1.0:
+        logits = logits / config.temperature
+    log_probs = _log_softmax(logits)
     delta_n = diversity_at(config.delta, n, schedule.n_steps)
-    next_masked = schedule.masked_counts[n + 1]
+    mask = state.mask
+    b, length, levels = mask.shape
 
-    b, length, levels = state.tokens.shape
+    # each row's generator draws (L, K) uniforms, then (L, K) Gumbel noise,
+    # committed positions included, so a row's bytes do not depend on the batch
+    uniforms = np.stack([rng.random((length, levels)) for rng in state.rngs])
+    picked = _multinomial(log_probs, uniforms[mask])
+    draw = np.zeros(mask.shape, dtype=np.int64)
+    draw[mask] = picked
+    drawn_logp = np.zeros(mask.shape)
+    drawn_logp[mask] = np.take_along_axis(log_probs, picked[:, None], axis=-1)[:, 0]
+    conf = np.stack([confidence(lp, delta_n, rng)
+                     for lp, rng in zip(drawn_logp, state.rngs)])
+    conf[~mask] = np.inf  # committed positions never re-enter
+
+    # stable sort of each row-major row breaks ties by (l, k)
+    order = np.argsort(conf.reshape(b, -1), axis=1, kind="stable")
+    remask = np.zeros((b, length * levels), dtype=bool)
+    np.put_along_axis(remask, order[:, :schedule.masked_counts[n + 1]], True, axis=1)
+    remask = remask.reshape(mask.shape)
+    commit = mask & ~remask
     tokens = state.tokens.copy()
-    mask = state.mask.copy()
+    tokens[commit] = draw[commit]
+    tokens[remask] = model.config.spec.mask_token
     conf_out = state.confidences.copy()
-    for i in range(b):
-        rng = state.rngs[i]
-        draw = _multinomial(log_probs[i], rng)
-        drawn_logp = np.take_along_axis(
-            log_probs[i], draw[..., None], axis=-1
-        )[..., 0]
-        conf = confidence(drawn_logp, delta_n, rng)
-        conf = np.where(mask[i], conf, np.inf)  # committed positions never re-enter
-        flat = conf.ravel()  # row-major, so stable sort breaks ties by (l, k)
-        order = np.argsort(flat, kind="stable")
-        remask_flat = order[:next_masked]
-        remask = np.zeros(length * levels, dtype=bool)
-        remask[remask_flat] = True
-        remask = remask.reshape(length, levels)
-        commit = mask[i] & ~remask
-        tokens[i][commit] = draw[commit]
-        conf_out[i][commit] = conf[commit]
-        mask[i] = remask
-        tokens[i][remask] = model.config.spec.mask_token
-    return replace(state, step=n + 1, tokens=tokens, mask=mask, confidences=conf_out)
+    conf_out[commit] = conf[commit]
+    return replace(state, step=n + 1, tokens=tokens, mask=remask, confidences=conf_out)
 
 
 def sample_batch(

@@ -251,3 +251,82 @@ def test_grad_accumulates_across_uses():
     y = ad.tsum(x * x + x * 3.0)
     y.backward()
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
+
+
+# -- row-blocked forward kernels ------------------------------------------------------
+
+
+def whole_softmax(x, axis=-1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def whole_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def whole_layer_norm(x, g=None, b=None, eps=1e-6):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps))
+    return xhat if g is None else xhat * g + b
+
+
+def whole_gelu(x):
+    t = np.tanh(ad._GELU_C * x * (1.0 + ad._GELU_A * (x * x)))
+    return 0.5 * x * (1.0 + t)
+
+
+def kernel_case(name, x, g, b):
+    """The op under test (Tensor -> Tensor) and its whole-array output."""
+    if name == "layer_norm_affine":
+        op = lambda t: ad.layer_norm(t, Tensor(g, requires_grad=True),
+                                     Tensor(b, requires_grad=True))
+        return op, whole_layer_norm(x, g, b)
+    op, whole = {"softmax": (ad.softmax, whole_softmax),
+                 "log_softmax": (ad.log_softmax, whole_log_softmax),
+                 "layer_norm": (ad.layer_norm, whole_layer_norm),
+                 "gelu": (ad.gelu, whole_gelu)}[name]
+    return op, whole(x)
+
+
+# _BLOCK_ELEMS is patched to 24: (3, 8) is exactly one block, (4, 2, 6) two full
+# blocks, (5, 7) blocks of 3 and 2 rows, and (3, 40) one row per block
+@pytest.mark.parametrize("shape, calls", [((3, 8), 1), ((4, 2, 6), 2), ((5, 7), 2),
+                                          ((3, 40), 3)])
+@pytest.mark.parametrize("name", ["softmax", "log_softmax", "layer_norm",
+                                  "layer_norm_affine", "gelu"])
+def test_row_blocks_match_whole_array(monkeypatch, name, shape, calls):
+    rng = np.random.default_rng(7)
+    x = rng.normal(0.0, 2.0, shape)
+    op, want = kernel_case(name, x, rng.normal(size=shape[-1]), rng.normal(size=shape[-1]))
+    seed = rng.normal(size=shape)
+
+    def run():
+        t = Tensor(x.copy(), requires_grad=True)
+        out = op(t)
+        out.backward(seed)
+        return out.data, t.grad
+
+    unblocked_grad = run()[1]
+    blocks = []
+    row_blocks = ad._row_blocks
+
+    def counted(kernel, *arrays):
+        row_blocks(lambda *a: blocks.append(1) or kernel(*a), *arrays)
+
+    monkeypatch.setattr(ad, "_BLOCK_ELEMS", 24)
+    monkeypatch.setattr(ad, "_row_blocks", counted)
+    out, grad = run()
+    assert len(blocks) == calls
+    assert out.tobytes() == want.tobytes()
+    assert grad.tobytes() == unblocked_grad.tobytes()  # the VJP reads the kept arrays
+    with ad.no_grad():  # without a graph, GELU keeps no arrays for its VJP
+        assert op(Tensor(x)).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, axis", [((5, 7), 0), ((3, 4, 6), 1), ((3, 4, 6), -2)])
+def test_softmax_along_other_axis_is_unchanged(monkeypatch, shape, axis):
+    monkeypatch.setattr(ad, "_BLOCK_ELEMS", 4)
+    x = np.random.default_rng(8).normal(size=shape)
+    assert ad.softmax(Tensor(x), axis=axis).data.tobytes() == whole_softmax(x, axis).tobytes()

@@ -1,9 +1,13 @@
 """Subcommand behavior, exit codes, config handling, dataset workflows."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskgram import cli
 from maskgram.cli import main
@@ -426,3 +430,66 @@ def test_manifest_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys, dam
     code = run(["sample", "--data", str(dataset), "--dump-schedule"])
     assert code == 4
     _assert_one_line_error(capsys, "validation")
+
+
+def test_feature_name_not_utf8_exits_3(dataset, capsys):
+    path = dataset / "ex_00000.clip.emb"
+    raw = bytearray(path.read_bytes())
+    raw[16] = 0xFF  # first byte of the stream name, after the 16-byte header
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run(["sample", "--data", str(dataset), "--dump-schedule", "--steps", "4"]) == 3
+    _assert_one_line_error(capsys, "io")
+
+
+def test_checkpoint_record_name_not_utf8_exits_3(dataset, tmp_path, capsys):
+    ckpt = train_tiny(dataset, tmp_path)
+    raw = bytearray(ckpt.read_bytes())
+    raw[12] = 0xFF  # first name byte of record 0: magic, version, count, name length
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error (io):") and err.count("\n") == 1
+    assert "record 0" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(gen_args(out)) == 0
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(["ex_00000.cgram", "ex_00003.clip.emb"]),
+    damage=st.sampled_from(["truncate", "flip", "append"]),
+    where=st.integers(0, 1 << 16),
+    value=st.integers(1, 255),
+    extra=st.binary(min_size=1, max_size=16),
+)
+def test_damaged_dataset_file_exits_cleanly(fuzz_dataset, name, damage, where, value, extra):
+    path = fuzz_dataset / name
+    original = path.read_bytes()
+    raw = bytearray(original)
+    if damage == "truncate":
+        raw = raw[:where % len(raw)]
+    elif damage == "flip":
+        raw[where % len(raw)] ^= value
+    else:
+        raw += extra
+    path.write_bytes(bytes(raw))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["sample", "--data", str(fuzz_dataset), "--dump-schedule",
+                        "--steps", "4"])
+    finally:
+        path.write_bytes(original)
+    assert code in (0, 3, 4)
+    if code != 0:
+        assert err.getvalue().startswith("error (") and err.getvalue().count("\n") == 1

@@ -19,6 +19,7 @@ from maskgram.metrics import (
     novelty_score,
     pearson,
     _dct_matrix,
+    _mfcc_constants,
 )
 
 
@@ -119,6 +120,16 @@ def test_dct_constant_vector_energy_in_first_coefficient():
     coeffs = dct @ np.full(128, 2.5)
     assert abs(coeffs[0]) > 1e-6
     np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-10)
+
+
+def test_mfcc_constants_built_once_and_read_only():
+    first = _mfcc_constants(44100.0)
+    assert _mfcc_constants(44100.0) is first
+    window, bank, dct = first
+    assert window.shape == (2048,) and bank.shape == (128, 1025) and dct.shape == (64, 128)
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_mfcc_embedding_set_name():

@@ -1,8 +1,11 @@
 """Guided logits, annealing, confidence, and the unmasking loop contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from maskgram import autodiff as ad
 from maskgram.codegram import CodebookSpec
 from maskgram.errors import ShapeMismatchError, ValidationError
 from maskgram.features import (
@@ -10,6 +13,7 @@ from maskgram.features import (
     FRAME_SEMANTIC,
     ConditioningBundle,
     FeatureStream,
+    stack_streams,
 )
 from maskgram.model import MaskedGridTransformer, ModelConfig, StreamSpec
 from maskgram.sampler import (
@@ -317,3 +321,76 @@ def test_encoder_runs_once_per_pass_per_call(gamma, passes, monkeypatch):
                  seeds=[1, 2, 3])
     assert len(calls) == passes
     assert model.forward_calls == 5 * passes
+
+
+# -- oracle: the per-row loop over every position -----------------------------------
+
+
+def reference_step(state, model, streams, config, schedule):
+    """One step as the sampler ran it before it drew at masked positions only:
+    guidance, temperature and log-softmax over the whole grid, then a per-row
+    draw, confidence and stable-sort re-mask."""
+    n = state.step
+    feed = np.where(state.mask, 0, state.tokens)
+    with ad.no_grad():
+        logits = model.forward(feed, state.mask, streams, None)[0].data
+        if config.gamma > 0 or config.force_two_pass:
+            drop = np.ones(len(feed), dtype=bool)
+            uncond = model.forward(feed, state.mask, streams, drop)[0].data
+            logits = (1.0 + config.gamma) * logits - config.gamma * uncond
+    next_masked = schedule.masked_counts[n + 1]
+    if schedule.masked_counts[n] == next_masked:
+        return replace(state, step=n + 1)
+    x = logits / config.temperature
+    shifted = x - x.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    delta_n = diversity_at(config.delta, n, schedule.n_steps)
+    b, length, levels = state.tokens.shape
+    tokens, mask = state.tokens.copy(), state.mask.copy()
+    conf_out = state.confidences.copy()
+    for i in range(b):
+        rng = state.rngs[i]
+        cdf = np.cumsum(np.exp(log_probs[i]), axis=-1)
+        u = rng.random((length, levels)) * cdf[..., -1]
+        draw = np.minimum((u[..., None] >= cdf).sum(axis=-1), log_probs.shape[-1] - 1)
+        drawn_logp = np.take_along_axis(log_probs[i], draw[..., None], axis=-1)[..., 0]
+        conf = drawn_logp + delta_n * rng.gumbel(size=drawn_logp.shape)
+        conf = np.where(mask[i], conf, np.inf)
+        order = np.argsort(conf.ravel(), kind="stable")
+        remask = np.zeros(length * levels, dtype=bool)
+        remask[order[:next_masked]] = True
+        remask = remask.reshape(length, levels)
+        commit = mask[i] & ~remask
+        tokens[i][commit] = draw[commit]
+        conf_out[i][commit] = conf[commit]
+        mask[i] = remask
+        tokens[i][remask] = model.config.spec.mask_token
+    return replace(state, step=n + 1, tokens=tokens, mask=mask, confidences=conf_out)
+
+
+@pytest.mark.parametrize("which", ["seq2seq", "constant"])
+@pytest.mark.parametrize("gamma, two_pass", [(0.0, False), (0.0, True), (2.0, False)])
+@pytest.mark.parametrize("temperature", [1.0, 0.7])
+@pytest.mark.parametrize("delta", [0.0, 8.0])
+@pytest.mark.parametrize("batch", [1, 7])
+def test_step_matches_per_row_reference(which, gamma, two_pass, temperature, delta, batch):
+    length, n_steps = 6, 8
+    if which == "seq2seq":
+        model = real_model(seed=12, structure="seq2seq")
+        streams = stack_streams([make_bundle(seed=20 + i) for i in range(batch)])
+    else:
+        model, streams = ConstantModel(spec_small()), None
+    spec = model.config.spec
+    config = SamplerConfig(n_steps=n_steps, gamma=gamma, delta=delta,
+                           temperature=temperature, force_two_pass=two_pass)
+    schedule = build_sample_schedule(length * spec.levels, n_steps)
+    seeds = [100 + i for i in range(batch)]
+    state = init_state(batch, length, spec.levels, spec, seeds)
+    expected = init_state(batch, length, spec.levels, spec, seeds)
+    for _ in range(n_steps):
+        state = sample_step(state, model, streams, config, schedule)
+        expected = reference_step(expected, model, streams, config, schedule)
+        for field in ("tokens", "mask", "confidences"):
+            got, want = getattr(state, field), getattr(expected, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert not state.mask.any()
