@@ -13,8 +13,8 @@ from .codegram import (
     save_codegram,
 )
 from .features import ConditioningBundle, FeatureStream, resample_nn
-from .model import LogitsGrid, MaskedGridTransformer, ModelConfig, StreamSpec
-from .sampler import SamplerConfig, guided_logits, sample, sample_batch
+from .model import MaskedGridTransformer, ModelConfig, StreamSpec
+from .sampler import SamplerConfig, guided_logits, sample_batch
 from .scheduler import SampleSchedule, TrainMaskDraw, build_sample_schedule, draw_train_mask
 from .train import LossBreakdown, TrainConfig, masked_ce, masked_token_accuracy
 
@@ -25,7 +25,6 @@ __all__ = [
     "CodebookSpec",
     "ConditioningBundle",
     "FeatureStream",
-    "LogitsGrid",
     "LossBreakdown",
     "MaskTensor",
     "MaskedGridTransformer",
@@ -42,7 +41,6 @@ __all__ = [
     "masked_ce",
     "masked_token_accuracy",
     "resample_nn",
-    "sample",
     "sample_batch",
     "save_codegram",
     "__version__",

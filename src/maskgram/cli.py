@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codegram import Codegram, dump_text, load_codegram, save_codegram
+from .codegram import Codegram, dump_text, load_codegram, load_json, save_codegram
 from .errors import FileFormatError, MaskgramError, ValidationError
 from .features import load_features
 from .metrics import (
@@ -47,6 +47,8 @@ from .synthetic import (
     latent_embedding_set,
     latent_sequence,
     load_dataset,
+    load_example,
+    load_manifest,
     token_match_fraction,
 )
 from .train import TrainConfig, evaluate_masked_accuracy, init_aux_params, train_model
@@ -64,12 +66,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _print_resolved(command: str, args: argparse.Namespace) -> None:
@@ -97,23 +93,35 @@ def _load_config_defaults(argv: list[str],
     if command is None:
         raise ValidationError("--config requires a subcommand")
     sub = subparsers[command]
-    path = Path(argv[idx + 1])
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    path = argv[idx + 1]
+    data = load_json(path)
     if data.get("version") != CONFIG_VERSION:
         raise ValidationError(
             f"{path}: config version must be {CONFIG_VERSION}, got {data.get('version')!r}"
         )
-    known = {a.dest for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions}
     values = {k: v for k, v in data.items() if k != "version"}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - set(actions))
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {unknown}")
-    sub.set_defaults(**values)
+    sub.set_defaults(**{k: _config_value(path, actions[k], v) for k, v in values.items()})
+
+
+def _config_value(path, action: argparse.Action, value):
+    """A config value as its flag accepts it: argparse's `type` on its text, then
+    `choices`; a switch (store_true) takes only a JSON boolean."""
+    if action.nargs == 0:
+        valid = isinstance(value, bool)
+    else:
+        try:
+            value = (action.type or str)(str(value))
+        except (TypeError, ValueError):
+            valid = False
+        else:
+            valid = action.choices is None or value in action.choices
+    if not valid:
+        raise ValidationError(f"{path}: invalid value {value!r} for {action.dest!r}")
+    return value
 
 
 # -- gen-data -------------------------------------------------------------------
@@ -257,7 +265,7 @@ def _sample_rows(model, bundles, seeds, length, config, threads,
 def cmd_sample(args) -> int:
     _print_resolved("sample", args)
     _require_positive(args, "beams", "threads")
-    task, examples, splits = load_dataset(args.data)
+    task, _, splits = load_manifest(args.data)
     if args.dump_schedule:
         schedule = build_sample_schedule(task.length * task.levels, args.steps)
         sys.stdout.write(schedule_dump(schedule))
@@ -271,8 +279,7 @@ def cmd_sample(args) -> int:
         raise ValidationError(
             f"index {args.index} outside split {args.split!r} of {len(split)}"
         )
-    example = examples[split[args.index]]
-    bundle = bundle_for(example, task)
+    bundle = bundle_for(load_example(args.data, split[args.index]), task)
     config = SamplerConfig(
         n_steps=args.steps, gamma=args.gamma, delta=args.delta,
         temperature=args.temp, seed=args.seed, force_two_pass=args.force_two_pass,
@@ -376,16 +383,10 @@ def _eval_codegram_dirs(gen_grids: list[Codegram], ref_grids: list[Codegram],
     return results
 
 
-def _emit_report(results: dict, report_path: Path | None) -> None:
-    keys = sorted(results)
-    lines = [f"{k}={_fmt(results[k])}" for k in keys]
-    width = max(len(k) for k in keys)
-    table = ["", "metric".ljust(width) + "  value", "-" * (width + 9)]
-    table += [f"{k.ljust(width)}  {_fmt(results[k])}" for k in keys]
-    text = "\n".join(lines + table) + "\n"
+def _write_report(text: str, path) -> None:
     sys.stdout.write(text)
-    if report_path is not None:
-        report_path.write_text(text)
+    if path:
+        Path(path).write_text(text)
 
 
 def cmd_eval(args) -> int:
@@ -401,10 +402,7 @@ def cmd_eval(args) -> int:
         results = _eval_embedding_sets(
             EmbeddingSet.load(gen_path), EmbeddingSet.load(ref_path), args.kernel_size
         )
-    text = format_report(results)
-    sys.stdout.write(text)
-    if args.report:
-        Path(args.report).write_text(text)
+    _write_report(format_report(results, "csv"), args.report)
     return EXIT_OK
 
 
@@ -498,7 +496,7 @@ def cmd_pipeline(args) -> int:
     results["selection_hit_rate"] = hits / eval_count
     results["seed"] = args.seed
     results["rule"] = args.rule
-    _emit_report(results, out / "report.txt")
+    _write_report(format_report(results, "key=value"), out / "report.txt")
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ immutable after construction; all operations here are pure.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,28 +125,81 @@ def save_codegram(codegram: Codegram, path) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def load_codegram(path, embed_dim: int = 8) -> Codegram:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than header ({len(raw)} bytes)")
-    magic, version, length, levels, vocab, frame_rate = _HEADER.unpack_from(raw)
+def load_codegram(path) -> Codegram:
+    reader = ByteReader(path)
+    magic, version, length, levels, vocab, frame_rate = reader.unpack(_HEADER, "header")
     if magic != MAGIC:
         raise CorruptHeaderError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise CorruptHeaderError(f"{path}: unsupported version {version}")
     if length < 1 or levels < 1 or vocab < 2:
         raise CorruptHeaderError(f"{path}: invalid dims L={length} K={levels} D={vocab}")
-    expected = _HEADER.size + 4 * length * levels
-    if len(raw) != expected:
-        error = TruncatedPayloadError if len(raw) < expected else TrailingBytesError
-        raise error(f"{path}: expected {expected} bytes, got {len(raw)}")
-    tokens = np.frombuffer(raw, dtype="<i4", count=length * levels, offset=_HEADER.size)
-    tokens = tokens.reshape(length, levels)
+    tokens = reader.array("<i4", (length, levels), "token payload")
+    reader.finish()
     if tokens.min() < 0 or tokens.max() >= vocab:
         raise TokenRangeError(f"{path}: token outside [0, {vocab})")
-    spec = CodebookSpec(levels=levels, vocab_size=vocab, embed_dim=embed_dim,
-                        frame_rate=frame_rate)
-    return Codegram(tokens.copy(), spec)
+    # a copy: the view sits at byte 26 of the file, unaligned for int32
+    return Codegram(tokens.copy(), CodebookSpec(levels=levels, vocab_size=vocab,
+                                                frame_rate=frame_rate))
+
+
+# -- shared readers for binary and JSON side files ------------------------------------
+
+
+class ByteReader:
+    """Bounds-checked little-endian reads through one file's bytes, front to back.
+
+    A read past the end raises TruncatedPayloadError and `finish` raises
+    TrailingBytesError for bytes after the last field; each names the file and
+    the field (`what`) being read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.raw = Path(path).read_bytes()
+        self.offset = 0
+
+    def _advance(self, size: int, what: str) -> int:
+        start = self.offset
+        if size > len(self.raw) - start:
+            raise TruncatedPayloadError(
+                f"{self.path}: truncated {what} at offset {start} of {len(self.raw)} bytes"
+            )
+        self.offset = start + size
+        return start
+
+    def unpack(self, layout: struct.Struct | str, what: str) -> tuple:
+        if isinstance(layout, str):
+            layout = struct.Struct(layout)
+        return layout.unpack_from(self.raw, self._advance(layout.size, what))
+
+    def take(self, size: int, what: str) -> bytes:
+        start = self._advance(size, what)
+        return self.raw[start:self.offset]
+
+    def text(self, size: int, what: str) -> str:
+        try:
+            return self.take(size, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptHeaderError(f"{self.path}: {what} is not UTF-8") from exc
+
+    def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Read-only view of the next prod(shape) items, stored row-major."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        start = self._advance(count * dtype.itemsize, what)
+        flat = np.frombuffer(self.raw, dtype=dtype, count=count, offset=start)
+        try:
+            return flat.reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CorruptHeaderError(f"{self.path}: {what} has shape {shape}") from exc
+
+    def finish(self) -> None:
+        """Raise unless the last field ended the file."""
+        if self.offset != len(self.raw):
+            raise TrailingBytesError(
+                f"{self.path}: {len(self.raw) - self.offset} bytes after the last field"
+            )
 
 
 def load_json(path) -> dict:

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .codegram import ByteReader
 from .errors import (
     CorruptHeaderError,
     MissingStreamError,
     ShapeMismatchError,
-    TrailingBytesError,
-    TruncatedPayloadError,
     ValidationError,
 )
 
@@ -121,27 +120,15 @@ def save_features(path, matrix: np.ndarray, name: str) -> None:
 
 
 def load_features(path) -> tuple[np.ndarray, str]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than header")
-    magic, version, n, d, name_len = _HEADER.unpack_from(raw)
+    reader = ByteReader(path)
+    magic, version, n, d, name_len = reader.unpack(_HEADER, "header")
     if magic != MAGIC:
         raise CorruptHeaderError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise CorruptHeaderError(f"{path}: unsupported version {version}")
-    offset = _HEADER.size
-    if len(raw) < offset + name_len:
-        raise TruncatedPayloadError(f"{path}: header name truncated")
-    try:
-        name = raw[offset:offset + name_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptHeaderError(f"{path}: stream name is not UTF-8") from exc
-    offset += name_len
-    expected = offset + 4 * n * d
-    if len(raw) != expected:
-        error = TruncatedPayloadError if len(raw) < expected else TrailingBytesError
-        raise error(f"{path}: expected {expected} bytes, got {len(raw)}")
-    matrix = np.frombuffer(raw, dtype="<f4", count=n * d, offset=offset).reshape(n, d)
+    name = reader.text(name_len, "stream name")
+    matrix = reader.array("<f4", (n, d), "feature payload")
+    reader.finish()
     return matrix.astype(np.float64), name
 
 

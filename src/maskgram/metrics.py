@@ -259,14 +259,21 @@ def novelty_score(gen_seq: np.ndarray, ref_seq: np.ndarray,
     return pearson(gen_curve, ref_curve)
 
 
-def format_report(results: dict) -> str:
-    """Metric name -> value as CSV lines, then a pretty table."""
+def format_report(results: dict, style: str) -> str:
+    """Metric name -> value lines, then a pretty table.
+
+    style "csv" writes a `metric,value` header and `name,value` lines (`eval`);
+    "key=value" writes `name=value` lines (the pipeline's report.txt).
+    """
     keys = sorted(results)
 
     def fmt(v):
         return repr(v) if isinstance(v, float) else str(v)
 
-    lines = ["metric,value"] + [f"{k},{fmt(results[k])}" for k in keys]
+    if style == "csv":
+        lines = ["metric,value"] + [f"{k},{fmt(results[k])}" for k in keys]
+    else:
+        lines = [f"{k}={fmt(results[k])}" for k in keys]
     width = max(len(k) for k in keys)
     lines += ["", "metric".ljust(width) + "  value", "-" * (width + 9)]
     lines += [f"{k.ljust(width)}  {fmt(results[k])}" for k in keys]

@@ -23,23 +23,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codegram import Codegram, CodebookSpec, MaskTensor, load_json
+from .codegram import ByteReader, CodebookSpec, load_json
 from .errors import (
     CorruptHeaderError,
     MissingStreamError,
     NonFiniteError,
     ShapeMismatchError,
-    TrailingBytesError,
-    TruncatedPayloadError,
     ValidationError,
 )
-from .features import (
-    ALIGNMENT_SENSITIVE,
-    FRAME_SEMANTIC,
-    ConditioningBundle,
-    resample_indices,
-    stack_streams,
-)
+from .features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC, resample_indices
 
 STRUCTURES = ("adaln", "seq2seq", "hybrid")
 
@@ -76,6 +68,8 @@ class ModelConfig:
             raise ValidationError(f"unknown structure {self.structure!r}")
         if self.depth < 1:
             raise ValidationError("depth must be >= 1")
+        if self.heads < 1:
+            raise ValidationError(f"heads must be >= 1, got {self.heads}")
         if self.hidden % self.heads != 0:
             raise ValidationError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"
@@ -154,27 +148,6 @@ class EncoderOutput:
 
     cls: Tensor
     sequence: Tensor
-
-
-class LogitsGrid:
-    """Finite L x K x D grid of per-position codeword scores."""
-
-    def __init__(self, values: np.ndarray, spec: CodebookSpec):
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ValidationError("logits must be 3-D (L, K, D)")
-        if values.shape[1] != spec.levels:
-            raise ShapeMismatchError("levels", spec.levels, values.shape[1])
-        if values.shape[2] != spec.vocab_size:
-            raise ShapeMismatchError("vocab", spec.vocab_size, values.shape[2])
-        if not np.isfinite(values).all():
-            raise NonFiniteError("logits grid")
-        self.values = values
-        self.spec = spec
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 class MaskedGridTransformer:
@@ -475,20 +448,6 @@ class MaskedGridTransformer:
         self._check_finite(logits, "logits head")
         return logits, enc_out
 
-    def forward_single(
-        self,
-        codegram: Codegram,
-        mask: MaskTensor,
-        bundle: ConditioningBundle | None,
-    ) -> LogitsGrid:
-        """Single-example convenience wrapper returning a plain LogitsGrid."""
-        streams = stack_streams([bundle]) if bundle is not None else None
-        with ad.no_grad():
-            logits, _ = self.forward(
-                codegram.tokens[None], mask.flags[None], streams
-            )
-        return LogitsGrid(logits.data[0], self.config.spec)
-
 
 # -- checkpoint format -----------------------------------------------------------
 
@@ -520,39 +479,29 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict,
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
     """Returns (named params, extra params, meta dict)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 10 or raw[:4] != CKPT_MAGIC:
+    reader = ByteReader(path)
+    magic, version, count = reader.unpack("<4sHI", "header")
+    if magic != CKPT_MAGIC:
         raise CorruptHeaderError(f"{path}: not a checkpoint file")
-    version, count = struct.unpack_from("<HI", raw, 4)
     if version != CKPT_VERSION:
         raise CorruptHeaderError(f"{path}: unsupported checkpoint version {version}")
-    offset = 10
     params: dict[str, Tensor] = {}
     extra: dict[str, Tensor] = {}
     for index in range(count):
-        try:
-            (name_len,) = struct.unpack_from("<H", raw, offset)
-            offset += 2
-            name = raw[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", raw, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, offset)
-            offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-        except UnicodeDecodeError as exc:
-            raise CorruptHeaderError(f"{path}: record {index} name is not UTF-8") from exc
-        except (struct.error, ValueError) as exc:  # frombuffer: ValueError on short data
-            raise TruncatedPayloadError(f"{path}: truncated record {index}") from exc
-        tensor = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+        what = f"record {index}"
+        (name_len,) = reader.unpack("<H", f"{what} name length")
+        name = reader.text(name_len, f"{what} name")
+        (ndim,) = reader.unpack("<B", f"{what} ndim")
+        shape = reader.unpack(f"<{ndim}I", f"{what} shape")
+        data = reader.array("<f8", shape, f"{what} data")
         if name.startswith("extra."):
-            extra[name[len("extra."):]] = tensor
+            records, key = extra, name[len("extra."):]
         else:
-            params[name] = tensor
-    if offset != len(raw):
-        raise TrailingBytesError(f"{path}: {len(raw) - offset} bytes after the last record")
+            records, key = params, name
+        if key in records:
+            raise CorruptHeaderError(f"{path}: {what} repeats the name {name!r}")
+        records[key] = Tensor(data.copy(), requires_grad=True)
+    reader.finish()
     config_path = Path(str(path) + ".json")
     if not config_path.exists():
         raise CorruptHeaderError(f"{config_path}: missing checkpoint config")

@@ -238,17 +238,3 @@ def sample_batch(
         raise ValidationError("sampling finished with masked positions left")
     return [Codegram(state.tokens[i], spec) for i in range(batch)]
 
-
-def sample(
-    model: MaskedGridTransformer,
-    bundle: ConditioningBundle | None,
-    length: int,
-    config: SamplerConfig,
-    trace: list[str] | None = None,
-) -> Codegram:
-    """Single fully-masked-to-complete run; deterministic given config.seed."""
-    bundles = [bundle] if bundle is not None else None
-    return sample_batch(
-        model, bundles, length, config,
-        seeds=[derive_seed(config.seed, "sample", 0)], trace=trace,
-    )[0]

@@ -223,7 +223,8 @@ def gen_dataset(spec: SyntheticTaskSpec, count: int, out_dir) -> dict:
     return manifest
 
 
-def load_dataset(path) -> tuple[SyntheticTaskSpec, list[dict], dict[str, list[int]]]:
+def load_manifest(path) -> tuple[SyntheticTaskSpec, int, dict[str, list[int]]]:
+    """A dataset's task spec, example count and splits, checked; reads no example."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -234,23 +235,37 @@ def load_dataset(path) -> tuple[SyntheticTaskSpec, list[dict], dict[str, list[in
     try:
         spec = SyntheticTaskSpec(**manifest["task"])
         indices = range(manifest["count"])
-        splits = {k: list(v) for k, v in manifest["splits"].items()}
+        splits = {name: list(manifest["splits"][name]) for name in ("train", "valid", "test")}
     except (KeyError, TypeError, AttributeError) as exc:  # missing or mistyped keys
         raise ValidationError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
-    examples = []
-    for i in indices:
-        stem = root / f"ex_{i:05d}"
-        cgram = load_codegram(f"{stem}.cgram")
-        clip, _ = load_features(f"{stem}.clip.emb")
-        s3d, _ = load_features(f"{stem}.s3d.emb")
-        beats, _ = load_features(f"{stem}.beats.emb")
-        examples.append({
-            "index": i,
-            "tokens": cgram.tokens,
-            "streams": {"clip": clip, "s3d": s3d},
-            "target": beats,
-        })
-    return spec, examples, splits
+    for name, split in splits.items():
+        bad = [i for i in split if type(i) is not int or i not in indices]
+        if bad:
+            raise ValidationError(
+                f"{manifest_path}: split {name!r} holds {bad[0]!r}, "
+                f"not an example index in [0, {len(indices)})"
+            )
+    return spec, len(indices), splits
+
+
+def load_example(path, index: int) -> dict:
+    """The four files of example `index` in the dataset directory `path`."""
+    stem = Path(path) / f"ex_{index:05d}"
+    cgram = load_codegram(f"{stem}.cgram")
+    clip, _ = load_features(f"{stem}.clip.emb")
+    s3d, _ = load_features(f"{stem}.s3d.emb")
+    beats, _ = load_features(f"{stem}.beats.emb")
+    return {
+        "index": index,
+        "tokens": cgram.tokens,
+        "streams": {"clip": clip, "s3d": s3d},
+        "target": beats,
+    }
+
+
+def load_dataset(path) -> tuple[SyntheticTaskSpec, list[dict], dict[str, list[int]]]:
+    spec, count, splits = load_manifest(path)
+    return spec, [load_example(path, i) for i in range(count)], splits
 
 
 # -- codegram-derived evaluation front-ends -----------------------------------------

@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .codegram import Codegram, MaskTensor
 from .errors import NonFiniteError, ShapeMismatchError, ValidationError
 from .features import resample_indices
-from .model import LogitsGrid, MaskedGridTransformer, ModelConfig
+from .model import MaskedGridTransformer, ModelConfig
 from .scheduler import draw_train_mask
 
 INIT_LOGIT_SCALE = math.log(1.0 / 0.07)
@@ -46,8 +46,6 @@ class LossBreakdown:
 
 
 def _as_logits_array(logits) -> np.ndarray:
-    if isinstance(logits, LogitsGrid):
-        return logits.values
     if isinstance(logits, Tensor):
         return logits.data
     return np.asarray(logits, dtype=np.float64)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from maskgram import cli
 from maskgram.cli import main
 from maskgram.features import save_features
+from maskgram.model import load_checkpoint
 
 
 def run(argv):
@@ -97,6 +99,20 @@ def test_config_wrong_version_exits_4(tmp_path):
         "--out", str(tmp_path / "d"), "--config", str(cfg),
     ])
     assert code == 4
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2], "s", 3, {"version": 1, "beams": [2]}, {"version": 1, "index": None},
+    {"version": 1, "steps": 2.5}, {"version": 1, "split": "dev"},
+    {"version": 1, "trace": "yes"},
+])
+def test_config_not_an_object_or_mistyped_exits_4(dataset, tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    code = run(["sample", "--data", str(dataset), "--dump-schedule", "--config", str(cfg)])
+    assert code == 4
+    _assert_one_line_error(capsys, "validation")
 
 
 def train_tiny(dataset, tmp_path, extra=()):
@@ -389,7 +405,7 @@ def test_checkpoint_config_not_json_exits_3(dataset, tmp_path, capsys):
     _assert_one_line_error(capsys, "io")
 
 
-@pytest.mark.parametrize("damage", ["drop-spec", "string-depth", "list-meta"])
+@pytest.mark.parametrize("damage", ["drop-spec", "string-depth", "list-meta", "zero-heads"])
 def test_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys,
                                                            damage):
     ckpt = train_tiny(dataset, tmp_path)
@@ -399,6 +415,8 @@ def test_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, ca
         del meta["model"]["spec"]
     elif damage == "string-depth":
         meta["model"]["depth"] = "one"
+    elif damage == "zero-heads":
+        meta["model"]["heads"] = 0
     else:
         meta = [meta]
     meta_path.write_text(json.dumps(meta))
@@ -417,14 +435,16 @@ def test_manifest_not_json_exits_3(dataset, tmp_path, capsys):
     _assert_one_line_error(capsys, "io")
 
 
-@pytest.mark.parametrize("damage", ["drop-splits", "string-count"])
+@pytest.mark.parametrize("damage", ["drop-splits", "string-count", 99, "a", -1, True])
 def test_manifest_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys, damage):
     path = dataset / "manifest.json"
     manifest = json.loads(path.read_text())
     if damage == "drop-splits":
         del manifest["splits"]
-    else:
+    elif damage == "string-count":
         manifest["count"] = "twelve"
+    else:  # a test split entry that is no example index
+        manifest["splits"]["test"] = [damage]
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     code = run(["sample", "--data", str(dataset), "--dump-schedule"])
@@ -438,7 +458,7 @@ def test_feature_name_not_utf8_exits_3(dataset, capsys):
     raw[16] = 0xFF  # first byte of the stream name, after the 16-byte header
     path.write_bytes(bytes(raw))
     capsys.readouterr()
-    assert run(["sample", "--data", str(dataset), "--dump-schedule", "--steps", "4"]) == 3
+    assert run(["train", "--data", str(dataset), "--out", str(dataset / "x.ckpt")]) == 3
     _assert_one_line_error(capsys, "io")
 
 
@@ -456,17 +476,50 @@ def test_checkpoint_record_name_not_utf8_exits_3(dataset, tmp_path, capsys):
     assert "record 0" in err
 
 
+@pytest.mark.parametrize("damage", ["ndim-65", "duplicate-record"])
+def test_checkpoint_bad_record_exits_3(dataset, tmp_path, capsys, damage):
+    # at hidden 32 the 63 extra dims, read from record 0's data, multiply to 0 in int64
+    ckpt = train_tiny(dataset, tmp_path, extra=["--hidden", "32"])
+    raw = bytearray(ckpt.read_bytes())
+    if damage == "ndim-65":
+        raw[12 + len("tok.0.table")] = 65  # ndim byte of record 0
+    else:  # one more record: a second, all-zero tok.pos
+        shape = load_checkpoint(ckpt)[0]["tok.pos"].data.shape
+        struct.pack_into("<I", raw, 6, struct.unpack_from("<I", raw, 6)[0] + 1)
+        raw += (struct.pack("<H", 7) + b"tok.pos" + struct.pack("<B2I", 2, *shape)
+                + bytes(8 * shape[0] * shape[1]))
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 3
+    _assert_one_line_error(capsys, "io")
+
+
+def test_sample_reads_only_the_sampled_example(dataset, tmp_path):
+    ckpt = train_tiny(dataset, tmp_path)
+    (dataset / "ex_00003.clip.emb").write_bytes(b"")  # the test split is examples 10, 11
+    assert run(["sample", "--data", str(dataset), "--dump-schedule"]) == 0
+    assert run(["sample", "--ckpt", str(ckpt), "--data", str(dataset), "--index", "0",
+                "--steps", "2", "--out", str(tmp_path / "s")]) == 0
+    assert run(["sample", "--ckpt", str(ckpt), "--data", str(dataset), "--split", "train",
+                "--index", "3", "--steps", "2", "--out", str(tmp_path / "s")]) == 3
+
+
 @pytest.fixture(scope="module")
 def fuzz_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "data"
     with contextlib.redirect_stdout(io.StringIO()):
         assert run(gen_args(out)) == 0
+        train_tiny(out, out)
+    (out / "config.json").write_text(json.dumps({"version": 1, "steps": 2, "beams": 2}))
     return out
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    name=st.sampled_from(["ex_00000.cgram", "ex_00003.clip.emb"]),
+    name=st.sampled_from(["ex_00000.cgram", "ex_00003.clip.emb", "model.ckpt",
+                          "model.ckpt.json", "manifest.json", "config.json"]),
     damage=st.sampled_from(["truncate", "flip", "append"]),
     where=st.integers(0, 1 << 16),
     value=st.integers(1, 255),
@@ -483,11 +536,15 @@ def test_damaged_dataset_file_exits_cleanly(fuzz_dataset, name, damage, where, v
     else:
         raw += extra
     path.write_bytes(bytes(raw))
+    # train-split examples 0 and 3 are the damaged ones; sample reads only its own
+    index = "3" if name.startswith("ex_00003") else "0"
     err = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(["sample", "--data", str(fuzz_dataset), "--dump-schedule",
-                        "--steps", "4"])
+            code = run(["sample", "--ckpt", str(fuzz_dataset / "model.ckpt"),
+                        "--data", str(fuzz_dataset), "--split", "train", "--index", index,
+                        "--config", str(fuzz_dataset / "config.json"),
+                        "--out", str(fuzz_dataset.parent / "samples")])
     finally:
         path.write_bytes(original)
     assert code in (0, 3, 4)

@@ -63,7 +63,7 @@ def test_file_roundtrip(tmp_path):
     grid = random_codegram(rng, spec, length=17)
     path = tmp_path / "grid.cgram"
     save_codegram(grid, path)
-    loaded = load_codegram(path, embed_dim=4)
+    loaded = load_codegram(path)
     np.testing.assert_array_equal(loaded.tokens, grid.tokens)
     assert loaded.spec.levels == 3
     assert loaded.spec.vocab_size == 50
@@ -76,7 +76,7 @@ def test_file_roundtrip_is_bit_exact(tmp_path):
     grid = random_codegram(rng, spec)
     p1, p2 = tmp_path / "a.cgram", tmp_path / "b.cgram"
     save_codegram(grid, p1)
-    save_codegram(load_codegram(p1, embed_dim=4), p2)
+    save_codegram(load_codegram(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -1,11 +1,14 @@
 """Model forward contracts: oracle reimplementation, dropout, determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from maskgram import autodiff as ad
-from maskgram.codegram import Codegram, CodebookSpec, MaskTensor
+from maskgram.codegram import CodebookSpec
 from maskgram.errors import (
+    CorruptHeaderError,
     NonFiniteError,
     TrailingBytesError,
     TruncatedPayloadError,
@@ -14,8 +17,6 @@ from maskgram.errors import (
 from maskgram.features import (
     ALIGNMENT_SENSITIVE,
     FRAME_SEMANTIC,
-    ConditioningBundle,
-    FeatureStream,
     resample_indices,
 )
 from maskgram.model import (
@@ -405,6 +406,14 @@ def test_checkpoint_trailing_byte_raises(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_record_with_more_dims_than_numpy_raises(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"MGCK" + struct.pack("<HIH", 1, 1, 1) + b"w"
+                     + struct.pack("<B65I", 65, *[1] * 65) + struct.pack("<d", 0.0))
+    with pytest.raises(CorruptHeaderError):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("structure", ["seq2seq", "hybrid"])
 def test_forward_reuses_given_encoder_output(structure, monkeypatch):
     cfg = tiny_config(structure)
@@ -418,16 +427,3 @@ def test_forward_reuses_given_encoder_output(structure, monkeypatch):
     assert enc_again is enc
     assert fresh.data.tobytes() == reused.data.tobytes()
 
-
-def test_forward_single_returns_logits_grid():
-    cfg = tiny_config("adaln")
-    model = MaskedGridTransformer(cfg, seed=21)
-    rng = np.random.default_rng(22)
-    grid = Codegram(rng.integers(0, 8, (4, 2)), cfg.spec)
-    mask = MaskTensor(rng.random((4, 2)) < 0.5)
-    bundle = ConditioningBundle((
-        FeatureStream("clip", rng.normal(size=(5, 4)), FRAME_SEMANTIC),
-        FeatureStream("s3d", rng.normal(size=(3, 3)), ALIGNMENT_SENSITIVE),
-    ))
-    out = model.forward_single(grid, mask, bundle)
-    assert out.shape == (4, 2, 8)

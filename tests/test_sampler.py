@@ -23,11 +23,11 @@ from maskgram.sampler import (
     diversity_at,
     guided_logits,
     init_state,
-    sample,
     sample_batch,
     sample_step,
 )
 from maskgram.scheduler import build_sample_schedule
+from maskgram.seeding import derive_seed
 
 
 def test_guided_logits_gamma_zero_is_conditional():
@@ -304,13 +304,18 @@ def make_bundle(seed=0):
     ))
 
 
+def sample_one(model, bundle, length, config, trace=None):
+    return sample_batch(model, [bundle], length, config,
+                        seeds=[derive_seed(config.seed, "sample", 0)], trace=trace)[0]
+
+
 @pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
 def test_sample_deterministic_given_seed(structure):
     model = real_model(structure=structure)
     bundle = make_bundle()
     config = SamplerConfig(n_steps=4, gamma=1.0, delta=2.0, seed=42)
-    a = sample(model, bundle, 6, config)
-    b = sample(model, bundle, 6, config)
+    a = sample_one(model, bundle, 6, config)
+    b = sample_one(model, bundle, 6, config)
     np.testing.assert_array_equal(a.tokens, b.tokens)
     assert (a.tokens >= 0).all() and (a.tokens < 10).all()
 
@@ -318,11 +323,11 @@ def test_sample_deterministic_given_seed(structure):
 def test_gamma_zero_single_pass_matches_forced_two_pass():
     model = real_model(seed=3)
     bundle = make_bundle(seed=4)
-    one = sample(model, bundle, 6,
-                 SamplerConfig(n_steps=5, gamma=0.0, delta=1.0, seed=9))
-    two = sample(model, bundle, 6,
-                 SamplerConfig(n_steps=5, gamma=0.0, delta=1.0, seed=9,
-                               force_two_pass=True))
+    one = sample_one(model, bundle, 6,
+                     SamplerConfig(n_steps=5, gamma=0.0, delta=1.0, seed=9))
+    two = sample_one(model, bundle, 6,
+                     SamplerConfig(n_steps=5, gamma=0.0, delta=1.0, seed=9,
+                                   force_two_pass=True))
     np.testing.assert_array_equal(one.tokens, two.tokens)
 
 
@@ -330,8 +335,8 @@ def test_trace_records_steps():
     model = real_model(seed=5)
     bundle = make_bundle(seed=6)
     trace: list[str] = []
-    sample(model, bundle, 4, SamplerConfig(n_steps=3, gamma=0.0, delta=0.0, seed=1),
-           trace=trace)
+    sample_one(model, bundle, 4, SamplerConfig(n_steps=3, gamma=0.0, delta=0.0, seed=1),
+               trace=trace)
     assert trace[0] == "step,masked_count,mean_confidence"
     assert len(trace) == 4
     assert trace[-1].startswith("3,0,")
