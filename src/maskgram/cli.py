@@ -3,7 +3,8 @@
 Every subcommand prints its resolved configuration and seed, is deterministic
 given (config, seed), and exits with 0 on success, 2 on usage errors, 3 on
 IO/file-format errors, and 4 on validation errors. The `pipeline` subcommand
-chains gen-data -> train -> sample -> select -> eval and emits one report.
+chains gen-data -> train -> sample -> select -> eval and emits one report; each
+stage is one function that its own subcommand calls too.
 """
 
 from __future__ import annotations
@@ -31,14 +32,19 @@ from .metrics import (
 from .model import (
     MaskedGridTransformer,
     ModelConfig,
-    load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
 )
 from .sampler import SamplerConfig, sample_batch
 from .scheduler import build_sample_schedule, schedule_dump
 from .seeding import derive_seed
-from .selector import ScavConfig, scav_encode_video, select_best, train_scav
+from .selector import (
+    ScavConfig,
+    scav_encode_video,
+    scav_from_checkpoint,
+    select_best,
+    train_scav,
+)
 from .synthetic import (
     SyntheticTaskSpec,
     bundle_for,
@@ -51,7 +57,13 @@ from .synthetic import (
     load_manifest,
     token_match_fraction,
 )
-from .train import TrainConfig, evaluate_masked_accuracy, init_aux_params, train_model
+from .train import (
+    StepResult,
+    TrainConfig,
+    evaluate_masked_accuracy,
+    init_aux_params,
+    train_model,
+)
 
 CONFIG_VERSION = 1
 # A sample_batch call gets ceil(rows / --threads) rows within these bounds; a row's
@@ -94,11 +106,7 @@ def _load_config_defaults(argv: list[str],
         raise ValidationError("--config requires a subcommand")
     sub = subparsers[command]
     path = argv[idx + 1]
-    data = load_json(path)
-    if data.get("version") != CONFIG_VERSION:
-        raise ValidationError(
-            f"{path}: config version must be {CONFIG_VERSION}, got {data.get('version')!r}"
-        )
+    data = load_json(path, CONFIG_VERSION)
     actions = {a.dest: a for a in sub._actions}
     values = {k: v for k, v in data.items() if k != "version"}
     unknown = sorted(set(values) - set(actions))
@@ -178,6 +186,23 @@ def _examples_for_split(examples, splits, name):
     return [examples[i] for i in splits[name]]
 
 
+def _add_model_flags(p: argparse.ArgumentParser, hidden: int, encoder_depth: int,
+                     batch_size: int, warmup: int) -> None:
+    """Generator and scav flags of `train` and `pipeline`, at the caller's defaults."""
+    p.add_argument("--structure", choices=["adaln", "seq2seq", "hybrid"],
+                   default="seq2seq")
+    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--hidden", type=int, default=hidden)
+    p.add_argument("--heads", type=int, default=4)
+    p.add_argument("--encoder-depth", type=int, default=encoder_depth)
+    p.add_argument("--cond-dropout", type=float, default=0.10)
+    p.add_argument("--batch-size", type=int, default=batch_size)
+    p.add_argument("--warmup", type=int, default=warmup)
+    p.add_argument("--n-scav", type=int, default=16)
+    p.add_argument("--h-scav", type=int, default=24)
+    p.add_argument("--scav-width", type=int, default=64)
+
+
 def _model_config_from(task: SyntheticTaskSpec, args) -> ModelConfig:
     return ModelConfig(
         structure=args.structure,
@@ -194,49 +219,60 @@ def _model_config_from(task: SyntheticTaskSpec, args) -> ModelConfig:
     )
 
 
-def cmd_train(args) -> int:
-    _print_resolved("train", args)
-    task, examples, splits = load_dataset(args.data)
-    train_examples = _examples_for_split(examples, splits, "train")
-    if args.what == "scav":
-        scav_cfg = ScavConfig(
-            n_scav=args.n_scav, h_scav=args.h_scav,
-            video_dim=task.clip_dim, audio_dim=8 * task.levels,
-            width=args.scav_width, temperature=args.scav_temperature,
-        )
-        pairs = [
-            (
-                e["streams"]["clip"],
-                latent_sequence(Codegram(e["tokens"], task.codebook_spec())),
-            )
-            for e in train_examples
-        ]
-        params = train_scav(pairs, scav_cfg, seed=args.seed, steps=args.steps,
-                            batch_size=args.batch_size)
-        save_checkpoint(args.out, params, {"scav": asdict(scav_cfg)})
-        print(f"[train] scav checkpoint written to {args.out}")
-        return EXIT_OK
-
+def _train_generator(args, task: SyntheticTaskSpec, examples, splits, out,
+                     metrics_log, **train_flags
+                     ) -> tuple[MaskedGridTransformer, list[StepResult], float]:
+    """Train the generator seeded from `args.seed`, write its checkpoint and metrics log;
+    returns it, its history and its valid-split (else train-split) masked accuracy."""
+    train_cfg = TrainConfig(**train_flags, seed=derive_seed(args.seed, "train-loop"))
     model_cfg = _model_config_from(task, args)
     model = MaskedGridTransformer(model_cfg, seed=derive_seed(args.seed, "model-init"))
     aux = init_aux_params(model_cfg, derive_seed(args.seed, "aux-init"))
-    train_cfg = TrainConfig(
-        steps=args.steps, batch_size=args.batch_size, peak_lr=args.peak_lr,
-        floor_lr=args.floor_lr, warmup=args.warmup, weight_decay=args.weight_decay,
-        lambda_reg=args.lambda_reg, lambda_cont=args.lambda_cont,
-        seed=derive_seed(args.seed, "train-loop"),
-    )
+    train_examples = _examples_for_split(examples, splits, "train")
     log_lines: list[str] = []
     history = train_model(model, aux, train_examples, train_cfg, log_lines)
-    if args.metrics_log:
-        Path(args.metrics_log).write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(args.out, model.params, {"model": model_cfg.to_dict()}, extra=aux)
-    tail = history[-1]
-    acc = evaluate_masked_accuracy(
+    if metrics_log:
+        Path(metrics_log).write_text("\n".join(log_lines) + "\n")
+    save_checkpoint(out, model.params, {"model": model_cfg.to_dict()}, extra=aux)
+    accuracy = evaluate_masked_accuracy(
         model, _examples_for_split(examples, splits, "valid") or train_examples,
         seed=derive_seed(args.seed, "valid-eval"),
     )
-    print(f"[train] final l_mask={tail.loss.l_mask!r} valid_accuracy={acc!r}")
+    return model, history, accuracy
+
+
+def _train_selector(args, task: SyntheticTaskSpec, examples, splits, out, seed: int,
+                    steps: int, temperature: float) -> tuple[dict, ScavConfig]:
+    """Train the scav encoder pair on the train split and write its checkpoint."""
+    scav_cfg = ScavConfig(
+        n_scav=args.n_scav, h_scav=args.h_scav, video_dim=task.clip_dim,
+        audio_dim=8 * task.levels, width=args.scav_width, temperature=temperature,
+    )
+    pairs = [
+        (e["streams"]["clip"], latent_sequence(Codegram(e["tokens"], task.codebook_spec())))
+        for e in _examples_for_split(examples, splits, "train")
+    ]
+    params = train_scav(pairs, scav_cfg, seed=seed, steps=steps,
+                        batch_size=args.batch_size)
+    save_checkpoint(out, params, {"scav": asdict(scav_cfg)})
+    return params, scav_cfg
+
+
+def cmd_train(args) -> int:
+    _print_resolved("train", args)
+    task, examples, splits = load_dataset(args.data)
+    if args.what == "scav":
+        _train_selector(args, task, examples, splits, args.out, seed=args.seed,
+                        steps=args.steps, temperature=args.scav_temperature)
+        print(f"[train] scav checkpoint written to {args.out}")
+        return EXIT_OK
+    _, history, acc = _train_generator(
+        args, task, examples, splits, args.out, args.metrics_log,
+        steps=args.steps, batch_size=args.batch_size, peak_lr=args.peak_lr,
+        floor_lr=args.floor_lr, warmup=args.warmup, weight_decay=args.weight_decay,
+        lambda_reg=args.lambda_reg, lambda_cont=args.lambda_cont,
+    )
+    print(f"[train] final l_mask={history[-1].loss.l_mask!r} valid_accuracy={acc!r}")
     print(f"[train] checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -302,19 +338,16 @@ def cmd_sample(args) -> int:
 # -- select --------------------------------------------------------------------------
 
 
-def _load_scav(path) -> tuple[dict, ScavConfig]:
-    params, _, meta = load_checkpoint(path)
-    if "scav" not in meta:
-        raise ValidationError(f"{path}: checkpoint does not describe a scav encoder")
-    try:
-        return params, ScavConfig(**meta["scav"])
-    except TypeError as exc:
-        raise ValidationError(f"{path}: malformed scav config ({exc})") from exc
+def _select(params, scav_cfg: ScavConfig, video_feats,
+            candidates) -> tuple[int, list[float]]:
+    """The candidate nearest the encoded video, and every candidate's distance."""
+    e_video = scav_encode_video(params, video_feats, scav_cfg)
+    return select_best(e_video, candidates, params, scav_cfg)
 
 
 def cmd_select(args) -> int:
     _print_resolved("select", args)
-    params, scav_cfg = _load_scav(args.scav_checkpoint)
+    params, scav_cfg = scav_from_checkpoint(args.scav_checkpoint)
     video_feats, _ = load_features(args.video)
     candidates = []
     for path in args.candidates:
@@ -322,8 +355,7 @@ def cmd_select(args) -> int:
             candidates.append(latent_sequence(load_codegram(path)))
         else:
             candidates.append(load_features(path)[0])
-    e_video = scav_encode_video(params, video_feats, scav_cfg)
-    index, distances = select_best(e_video, candidates, params, scav_cfg)
+    index, distances = _select(params, scav_cfg, video_feats, candidates)
     print(f"selected_index={index}")
     print("distances=" + ",".join(repr(d) for d in distances))
     return EXIT_OK
@@ -356,15 +388,12 @@ def _eval_codegram_dirs(gen_grids: list[Codegram], ref_grids: list[Codegram],
     results["fd_dac_latent"] = frechet_from_sets(
         latent_embedding_set(gen_grids), latent_embedding_set(ref_grids)
     )
-    gen_frames = np.concatenate(
-        [mfcc_like_frontend(codegram_to_signal(g)).vectors for g in gen_grids]
-    )
-    ref_frames = np.concatenate(
-        [mfcc_like_frontend(codegram_to_signal(g)).vectors for g in ref_grids]
-    )
-    results["fd_mfcc_like"] = frechet_from_sets(
-        EmbeddingSet(gen_frames, "mfcc-like"), EmbeddingSet(ref_frames, "mfcc-like")
-    )
+
+    def mfcc_frames(grids: list[Codegram]) -> EmbeddingSet:
+        frames = [mfcc_like_frontend(codegram_to_signal(g)).vectors for g in grids]
+        return EmbeddingSet(np.concatenate(frames), "mfcc-like")
+
+    results["fd_mfcc_like"] = frechet_from_sets(mfcc_frames(gen_grids), mfcc_frames(ref_grids))
     n_pairs = min(len(gen_grids), len(ref_grids))
     kernel = min(kernel_size, max(2, gen_grids[0].length // 2))
     ns_values = [
@@ -420,36 +449,19 @@ def cmd_pipeline(args) -> int:
     data_dir = out / "data"
     gen_dataset(spec, args.count, data_dir)
     task, examples, splits = load_dataset(data_dir)
-    train_examples = _examples_for_split(examples, splits, "train")
-    valid_examples = _examples_for_split(examples, splits, "valid")
     test_examples = _examples_for_split(examples, splits, "test")
     if not test_examples:
         raise ValidationError("pipeline needs a non-empty test split (count >= 10)")
 
-    model_cfg = _model_config_from(task, args)
-    model = MaskedGridTransformer(model_cfg, seed=derive_seed(args.seed, "model-init"))
-    aux = init_aux_params(model_cfg, derive_seed(args.seed, "aux-init"))
-    train_cfg = TrainConfig(
+    model, history, valid_accuracy = _train_generator(
+        args, task, examples, splits, out / "model.ckpt", out / "metrics.csv",
         steps=args.train_steps, batch_size=args.batch_size, warmup=args.warmup,
-        seed=derive_seed(args.seed, "train-loop"),
     )
-    log_lines: list[str] = []
-    history = train_model(model, aux, train_examples, train_cfg, log_lines)
-    (out / "metrics.csv").write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(out / "model.ckpt", model.params,
-                    {"model": model_cfg.to_dict()}, extra=aux)
-
-    scav_cfg = ScavConfig(
-        n_scav=args.n_scav, h_scav=args.h_scav, video_dim=task.clip_dim,
-        audio_dim=8 * task.levels, width=args.scav_width,
+    scav_params, scav_cfg = _train_selector(
+        args, task, examples, splits, out / "scav.ckpt",
+        seed=derive_seed(args.seed, "scav"), steps=args.scav_steps,
+        temperature=ScavConfig.temperature,
     )
-    pairs = [
-        (e["streams"]["clip"], latent_sequence(Codegram(e["tokens"], task.codebook_spec())))
-        for e in train_examples
-    ]
-    scav_params = train_scav(pairs, scav_cfg, seed=derive_seed(args.seed, "scav"),
-                             steps=args.scav_steps, batch_size=args.batch_size)
-    save_checkpoint(out / "scav.ckpt", scav_params, {"scav": asdict(scav_cfg)})
 
     eval_count = min(args.eval_count, len(test_examples))
     chosen_dir = out / "chosen"
@@ -466,33 +478,25 @@ def cmd_pipeline(args) -> int:
         task.length, sampler_cfg, args.threads,
     )
 
+    ref_grids = [Codegram(e["tokens"], task.codebook_spec())
+                 for e in test_examples[:eval_count]]
     chosen_grids: list[Codegram] = []
     hits = 0
     for e in range(eval_count):
         beams = all_beams[e * args.beams:(e + 1) * args.beams]
-        example = test_examples[e]
-        e_video = scav_encode_video(scav_params, example["streams"]["clip"], scav_cfg)
-        index, _ = select_best(
-            e_video, [latent_sequence(g) for g in beams], scav_params, scav_cfg
-        )
+        index, _ = _select(scav_params, scav_cfg, test_examples[e]["streams"]["clip"],
+                           [latent_sequence(g) for g in beams])
         chosen = beams[index]
         chosen_grids.append(chosen)
         save_codegram(chosen, chosen_dir / f"chosen_{e:05d}.cgram")
-        truth = Codegram(example["tokens"], task.codebook_spec())
-        matches = [token_match_fraction(g, truth) for g in beams]
+        matches = [token_match_fraction(g, ref_grids[e]) for g in beams]
         if matches[index] == max(matches):
             hits += 1
 
-    ref_grids = [
-        Codegram(test_examples[e]["tokens"], task.codebook_spec())
-        for e in range(eval_count)
-    ]
     results = _eval_codegram_dirs(chosen_grids, ref_grids, args.kernel_size)
     tail = history[-min(20, len(history)):]
     results["l_mask_tail"] = float(np.mean([r.loss.l_mask for r in tail]))
-    results["masked_accuracy_valid"] = evaluate_masked_accuracy(
-        model, valid_examples or train_examples, seed=derive_seed(args.seed, "valid-eval")
-    )
+    results["masked_accuracy_valid"] = valid_accuracy
     results["selection_hit_rate"] = hits / eval_count
     results["seed"] = args.seed
     results["rule"] = args.rule
@@ -526,24 +530,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--what", choices=["model", "scav"], default="model")
-    p.add_argument("--structure", choices=["adaln", "seq2seq", "hybrid"],
-                   default="seq2seq")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--encoder-depth", type=int, default=2)
-    p.add_argument("--cond-dropout", type=float, default=0.10)
+    _add_model_flags(p, hidden=128, encoder_depth=2, batch_size=32, warmup=100)
     p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--peak-lr", type=float, default=2e-4)
     p.add_argument("--floor-lr", type=float, default=1e-6)
-    p.add_argument("--warmup", type=int, default=100)
     p.add_argument("--weight-decay", type=float, default=1e-5)
     p.add_argument("--lambda-reg", type=float, default=1.0)
     p.add_argument("--lambda-cont", type=float, default=1.0)
-    p.add_argument("--n-scav", type=int, default=16)
-    p.add_argument("--h-scav", type=int, default=24)
-    p.add_argument("--scav-width", type=int, default=64)
     p.add_argument("--scav-temperature", type=float, default=0.07)
     p.add_argument("--metrics-log")
     p.add_argument("--seed", type=int, default=0)
@@ -588,17 +581,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_task_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--structure", choices=["adaln", "seq2seq", "hybrid"],
-                   default="seq2seq")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=96)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--encoder-depth", type=int, default=1)
-    p.add_argument("--cond-dropout", type=float, default=0.10)
+    _add_model_flags(p, hidden=96, encoder_depth=1, batch_size=16, warmup=50)
     p.add_argument("--train-steps", type=int, default=300)
     p.add_argument("--scav-steps", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--warmup", type=int, default=50)
     p.add_argument("--beams", type=int, default=10)
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--gamma", type=float, default=0.0)
@@ -607,9 +592,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--eval-count", type=int, default=8)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--kernel-size", type=int, default=16)
-    p.add_argument("--n-scav", type=int, default=16)
-    p.add_argument("--h-scav", type=int, default=24)
-    p.add_argument("--scav-width", type=int, default=64)
     p.add_argument("--config")
     p.set_defaults(func=cmd_pipeline)
 

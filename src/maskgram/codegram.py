@@ -202,14 +202,18 @@ class ByteReader:
             )
 
 
-def load_json(path) -> dict:
-    """A JSON side file's top-level object; bad JSON is a file-format error."""
+def load_json(path, version: int) -> dict:
+    """A JSON side file's top-level object, whose "version" must be the JSON int
+    `version` (not `true`, not `1.0`); bad JSON is a file-format error."""
     try:
         data = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedJsonError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
+    found = data.get("version")
+    if type(found) is not int or found != version:
+        raise ValidationError(f"{path}: version must be {version}, got {found!r}")
     return data
 
 

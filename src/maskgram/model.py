@@ -241,10 +241,6 @@ class MaskedGridTransformer:
     def n_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def check_finite_params(self) -> None:
         for name, p in self.params.items():
             if not np.isfinite(p.data).all():
@@ -505,7 +501,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
     config_path = Path(str(path) + ".json")
     if not config_path.exists():
         raise CorruptHeaderError(f"{config_path}: missing checkpoint config")
-    return params, extra, load_json(config_path)
+    return params, extra, load_json(config_path, CKPT_VERSION)
 
 
 def model_from_checkpoint(path) -> tuple["MaskedGridTransformer", dict[str, Tensor]]:
@@ -516,12 +512,18 @@ def model_from_checkpoint(path) -> tuple["MaskedGridTransformer", dict[str, Tens
         model = MaskedGridTransformer(ModelConfig.from_dict(meta["model"]), seed=0)
     except (KeyError, TypeError, ValueError) as exc:  # missing or mistyped keys
         raise ValidationError(f"{path}: malformed model config ({exc!r})") from exc
-    missing = set(model.params) ^ set(params)
-    if missing:
-        raise ValidationError(f"checkpoint/config parameter mismatch: {sorted(missing)}")
-    for name, tensor in params.items():
-        if model.params[name].data.shape != tensor.data.shape:
-            raise ValidationError(f"checkpoint shape mismatch for {name}")
-        model.params[name] = tensor
+    check_records(path, params, model.params)
+    model.params.update(params)
     model.check_finite_params()
     return model, extra
+
+
+def check_records(path, params: dict[str, Tensor], expected: dict[str, Tensor]) -> None:
+    """Raise unless the checkpoint's records have exactly the expected names and shapes."""
+    missing = set(expected) ^ set(params)
+    if missing:
+        raise ValidationError(f"{path}: checkpoint/config parameter mismatch: "
+                              f"{sorted(missing)}")
+    for name, tensor in params.items():
+        if expected[name].data.shape != tensor.data.shape:
+            raise ValidationError(f"{path}: checkpoint shape mismatch for {name}")

@@ -17,8 +17,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeMismatchError, ValidationError
 from .features import resample_indices
+from .model import check_records, load_checkpoint
 from .seeding import derive_seed
-from .train import AdamW
+from .train import AdamW, symmetric_diag_ce
 
 AUDIO_SUBBANDS = 8  # audio branch emits N x 8 x H, mean-reduced before distances
 
@@ -33,8 +34,10 @@ class ScavConfig:
     temperature: float = 0.07
 
     def __post_init__(self):
-        if self.n_scav < 1 or self.h_scav < 1:
-            raise ValidationError("n_scav and h_scav must be >= 1")
+        if min(self.n_scav, self.h_scav, self.video_dim, self.audio_dim, self.width) < 1:
+            raise ValidationError(
+                "n_scav, h_scav, video_dim, audio_dim and width must be >= 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,20 @@ def init_scav_params(config: ScavConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
+def scav_from_checkpoint(path) -> tuple[dict[str, Tensor], ScavConfig]:
+    """A scav checkpoint's params and config, its records checked against the config."""
+    params, _, meta = load_checkpoint(path)
+    if "scav" not in meta:
+        raise ValidationError(f"{path}: checkpoint does not describe a scav encoder")
+    try:
+        config = ScavConfig(**meta["scav"])
+        expected = init_scav_params(config, seed=0)
+    except (TypeError, ValueError) as exc:  # missing or mistyped keys
+        raise ValidationError(f"{path}: malformed scav config ({exc})") from exc
+    check_records(path, params, expected)
+    return params, config
+
+
 def _encode(params: dict[str, Tensor], branch: str, feats, config: ScavConfig) -> Tensor:
     feats = np.asarray(feats, dtype=np.float64)
     squeeze = feats.ndim == 2
@@ -77,6 +94,9 @@ def _encode(params: dict[str, Tensor], branch: str, feats, config: ScavConfig) -
         feats = feats[None]
     if feats.shape[1] < 1:
         raise ValidationError(f"{branch} features are empty")
+    width = config.video_dim if branch == "video" else config.audio_dim
+    if feats.shape[2] != width:
+        raise ShapeMismatchError(f"{branch} feature width", width, feats.shape[2])
     feats = feats[:, resample_indices(feats.shape[1], config.n_scav)]
     x = ad.linear(Tensor(feats), params[f"{branch}.fc1.w"], params[f"{branch}.fc1.b"])
     x = ad.gelu(x)
@@ -125,16 +145,9 @@ def _pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
 def scav_contrastive_loss_t(e_video: Tensor, e_audio: Tensor,
                             temperature: float) -> Tensor:
     """Symmetric CE over negated pairwise distances; diagonal labels."""
-    b = e_video.shape[0]
-    if b < 2:
+    if e_video.shape[0] < 2:
         raise ValidationError("contrastive loss requires batch size >= 2")
-    logits = -_pairwise_sqdist(e_video, e_audio) * (1.0 / temperature)
-
-    def diag_ce(sim: Tensor) -> Tensor:
-        lp = ad.log_softmax(sim, axis=-1)
-        return -ad.tmean(ad.take_along_last(lp, np.arange(b, dtype=np.int64)))
-
-    return (diag_ce(logits) + diag_ce(ad.swapaxes(logits, 0, 1))) * 0.5
+    return symmetric_diag_ce(-_pairwise_sqdist(e_video, e_audio) * (1.0 / temperature))
 
 
 def scav_contrastive_loss(pairs: list[ScavPair], temperature: float = 0.07) -> float:

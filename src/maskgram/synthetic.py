@@ -229,9 +229,7 @@ def load_manifest(path) -> tuple[SyntheticTaskSpec, int, dict[str, list[int]]]:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{root}: missing manifest.json")
-    manifest = load_json(manifest_path)
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValidationError(f"{root}: unsupported manifest version")
+    manifest = load_json(manifest_path, MANIFEST_VERSION)
     try:
         spec = SyntheticTaskSpec(**manifest["task"])
         indices = range(manifest["count"])

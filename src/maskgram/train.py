@@ -99,6 +99,12 @@ def _diag_ce(sim: Tensor) -> Tensor:
     return -ad.tmean(diag)
 
 
+def symmetric_diag_ce(sim: Tensor) -> Tensor:
+    """Mean of the row-wise and column-wise cross-entropies of a (B, B) similarity
+    matrix whose diagonal holds the matched pairs."""
+    return (_diag_ce(sim) + _diag_ce(ad.swapaxes(sim, 0, 1))) * 0.5
+
+
 def clip_contrastive_t(cls_batch: Tensor, target_batch: Tensor, temperature) -> Tensor:
     """Symmetric cross-entropy over the cosine-similarity matrix, diagonal labels."""
     b = cls_batch.shape[0]
@@ -110,7 +116,7 @@ def clip_contrastive_t(cls_batch: Tensor, target_batch: Tensor, temperature) -> 
     t = ad.l2_normalize(target_batch, eps=0.0)
     sim = ad.matmul(a, ad.swapaxes(t, 0, 1))
     sim = sim / temperature if isinstance(temperature, Tensor) else sim * (1.0 / temperature)
-    return (_diag_ce(sim) + _diag_ce(ad.swapaxes(sim, 0, 1))) * 0.5
+    return symmetric_diag_ce(sim)
 
 
 def clip_contrastive(cls_batch: np.ndarray, target_batch: np.ndarray,
@@ -258,7 +264,27 @@ class Batch:
     tokens: np.ndarray                     # (B, L, K)
     streams: dict[str, np.ndarray]         # name -> (B, N, C)
     targets: np.ndarray | None = None      # (B, N_t, C_t) raw auxiliary features
-    masks: np.ndarray | None = None        # optional pre-drawn (B, L, K) flags
+
+
+def _stack_examples(examples: list[dict]) -> Batch:
+    """One batch from example dicts; targets only when the examples carry them."""
+    return Batch(
+        tokens=np.stack([e["tokens"] for e in examples]),
+        streams={
+            name: np.stack([e["streams"][name] for e in examples])
+            for name in examples[0]["streams"]
+        },
+        targets=(
+            np.stack([e["target"] for e in examples])
+            if examples[0].get("target") is not None else None
+        ),
+    )
+
+
+def _draw_masks(shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    """(B, L, K) training masks, one `draw_train_mask` per row in row order."""
+    b, length, levels = shape
+    return np.stack([draw_train_mask(length, levels, rng).mask.flags for _ in range(b)])
 
 
 @dataclass
@@ -322,15 +348,9 @@ def train_step(
     lambda_cont: float = 1.0,
 ) -> StepResult:
     """One optimizer step: draw masks, apply conditioning dropout, update."""
-    b, length, levels = batch.tokens.shape
-    if batch.masks is not None:
-        masks = batch.masks
-    else:
-        masks = np.stack(
-            [draw_train_mask(length, levels, rng).mask.flags for _ in range(b)]
-        )
+    masks = _draw_masks(batch.tokens.shape, rng)
     prob = model.config.cond_dropout_prob
-    drop = rng.random(b) < prob if prob > 0 else None
+    drop = rng.random(len(masks)) < prob if prob > 0 else None
     total, logits, parts, _ = compute_losses(
         model, aux, batch, masks, drop, lambda_reg, lambda_cont
     )
@@ -389,18 +409,7 @@ def train_model(
             cursor = 0
         idx = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
-        chosen = [examples[i] for i in idx]
-        batch = Batch(
-            tokens=np.stack([e["tokens"] for e in chosen]),
-            streams={
-                name: np.stack([e["streams"][name] for e in chosen])
-                for name in chosen[0]["streams"]
-            },
-            targets=(
-                np.stack([e["target"] for e in chosen])
-                if chosen[0].get("target") is not None else None
-            ),
-        )
+        batch = _stack_examples([examples[i] for i in idx])
         result = train_step(
             model, aux, optimizer, batch, step, schedule, rng,
             lambda_reg=config.lambda_reg, lambda_cont=config.lambda_cont,
@@ -422,22 +431,16 @@ def evaluate_masked_accuracy(
     hits = 0
     count = 0
     for start in range(0, len(examples), batch_size):
-        chosen = examples[start:start + batch_size]
-        tokens = np.stack([e["tokens"] for e in chosen])
-        streams = {
-            name: np.stack([e["streams"][name] for e in chosen])
-            for name in chosen[0]["streams"]
-        }
+        batch = _stack_examples(examples[start:start + batch_size])
+        tokens = batch.tokens
         b, length, levels = tokens.shape
-        masks = np.stack(
-            [draw_train_mask(length, levels, rng).mask.flags for _ in range(b)]
-        )
+        masks = _draw_masks(tokens.shape, rng)
         # ensure at least one masked position per example so every grid counts
         for i in range(b):
             if not masks[i].any():
                 masks[i, rng.integers(length), rng.integers(levels)] = True
         with ad.no_grad():
-            logits, _ = model.forward(tokens, masks, streams, None)
+            logits, _ = model.forward(tokens, masks, batch.streams, None)
         pred = logits.data.argmax(axis=-1)
         hits += int((pred[masks] == tokens[masks]).sum())
         count += int(masks.sum())

@@ -14,6 +14,7 @@ from maskgram import cli
 from maskgram.cli import main
 from maskgram.features import save_features
 from maskgram.model import load_checkpoint
+from maskgram.seeding import derive_seed
 
 
 def run(argv):
@@ -104,7 +105,7 @@ def test_config_wrong_version_exits_4(tmp_path):
 @pytest.mark.parametrize("config", [
     [1, 2], "s", 3, {"version": 1, "beams": [2]}, {"version": 1, "index": None},
     {"version": 1, "steps": 2.5}, {"version": 1, "split": "dev"},
-    {"version": 1, "trace": "yes"},
+    {"version": 1, "trace": "yes"}, {"version": True}, {"version": 1.0},
 ])
 def test_config_not_an_object_or_mistyped_exits_4(dataset, tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -294,6 +295,51 @@ def test_select_emits_index_and_distances(dataset, tmp_path, capsys):
     assert len(lines[0].split(",")) == 2
 
 
+@pytest.mark.parametrize("damage", ["video-width", "candidate-width", "config-width"])
+def test_select_width_mismatch_exits_4(dataset, tmp_path, capsys, damage):
+    scav = tmp_path / "scav.ckpt"
+    assert run([
+        "train", "--data", str(dataset), "--out", str(scav), "--what", "scav",
+        "--steps", "2", "--batch-size", "8", "--n-scav", "4", "--h-scav", "4",
+        "--scav-width", "8",
+    ]) == 0
+    video, candidate = dataset / "ex_00010.clip.emb", dataset / "ex_00010.cgram"
+    if damage == "video-width":  # s3d-like features are 4 wide, the video branch takes 6
+        video = dataset / "ex_00010.s3d.emb"
+    elif damage == "candidate-width":  # the audio branch takes 8 x 2 levels
+        candidate = dataset / "ex_00010.clip.emb"
+    else:  # the config no longer matches the records' shapes
+        meta_path = tmp_path / "scav.ckpt.json"
+        meta = json.loads(meta_path.read_text())
+        meta["scav"]["width"] = 9
+        meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    code = run(["select", "--scav-checkpoint", str(scav), "--video", str(video),
+                "--candidates", str(candidate)])
+    assert code == 4
+    _assert_one_line_error(capsys, "validation")
+
+
+def test_pipeline_runs_the_train_stages(tmp_path):
+    out = tmp_path / "p"
+    flags = ["--depth", "1", "--hidden", "16", "--heads", "2", "--encoder-depth", "1",
+             "--batch-size", "4", "--warmup", "2", "--n-scav", "4", "--h-scav", "4",
+             "--scav-width", "8"]
+    assert run(["pipeline", *gen_args(out)[1:], *flags, "--train-steps", "4",
+                "--scav-steps", "3", "--beams", "2", "--steps", "2", "--eval-count", "1",
+                "--kernel-size", "4"]) == 0
+    data = str(out / "data")
+    assert run(["train", "--data", data, "--out", str(tmp_path / "model.ckpt"), *flags,
+                "--steps", "4", "--seed", "3",
+                "--metrics-log", str(tmp_path / "metrics.csv")]) == 0
+    assert run(["train", "--what", "scav", "--data", data,
+                "--out", str(tmp_path / "scav.ckpt"), *flags, "--steps", "3",
+                "--seed", str(derive_seed(3, "scav"))]) == 0
+    for name in ("model.ckpt", "model.ckpt.json", "metrics.csv", "scav.ckpt",
+                 "scav.ckpt.json"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 def test_eval_identical_embedding_sets(tmp_path, capsys):
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(40, 6)).astype(np.float32)
@@ -405,13 +451,16 @@ def test_checkpoint_config_not_json_exits_3(dataset, tmp_path, capsys):
     _assert_one_line_error(capsys, "io")
 
 
-@pytest.mark.parametrize("damage", ["drop-spec", "string-depth", "list-meta", "zero-heads"])
+@pytest.mark.parametrize("damage", ["drop-spec", "string-depth", "list-meta", "zero-heads",
+                                    "version-true", "version-1.0"])
 def test_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys,
                                                            damage):
     ckpt = train_tiny(dataset, tmp_path)
     meta_path = tmp_path / "model.ckpt.json"
     meta = json.loads(meta_path.read_text())
-    if damage == "drop-spec":
+    if damage in ("version-true", "version-1.0"):
+        meta["version"] = True if damage == "version-true" else 1.0
+    elif damage == "drop-spec":
         del meta["model"]["spec"]
     elif damage == "string-depth":
         meta["model"]["depth"] = "one"
@@ -435,11 +484,14 @@ def test_manifest_not_json_exits_3(dataset, tmp_path, capsys):
     _assert_one_line_error(capsys, "io")
 
 
-@pytest.mark.parametrize("damage", ["drop-splits", "string-count", 99, "a", -1, True])
+@pytest.mark.parametrize("damage", ["drop-splits", "string-count", 99, "a", -1, True,
+                                    "version-true", "version-1.0"])
 def test_manifest_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys, damage):
     path = dataset / "manifest.json"
     manifest = json.loads(path.read_text())
-    if damage == "drop-splits":
+    if damage in ("version-true", "version-1.0"):
+        manifest["version"] = True if damage == "version-true" else 1.0
+    elif damage == "drop-splits":
         del manifest["splits"]
     elif damage == "string-count":
         manifest["count"] = "twelve"
