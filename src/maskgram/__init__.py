@@ -16,7 +16,7 @@ from .features import ConditioningBundle, FeatureStream, resample_nn
 from .model import MaskedGridTransformer, ModelConfig, StreamSpec
 from .sampler import SamplerConfig, guided_logits, sample_batch
 from .scheduler import SampleSchedule, TrainMaskDraw, build_sample_schedule, draw_train_mask
-from .train import LossBreakdown, TrainConfig, masked_ce, masked_token_accuracy
+from .train import LossBreakdown, TrainConfig, masked_token_accuracy
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "draw_train_mask",
     "guided_logits",
     "load_codegram",
-    "masked_ce",
     "masked_token_accuracy",
     "resample_nn",
     "sample_batch",

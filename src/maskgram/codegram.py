@@ -102,14 +102,6 @@ class MaskTensor:
             raise ValidationError(f"mask flags must be 2-D (L, K), got ndim={flags.ndim}")
         object.__setattr__(self, "flags", _freeze(flags))
 
-    @property
-    def count_masked(self) -> int:
-        return int(self.flags.sum())
-
-    @staticmethod
-    def full(length: int, levels: int, value: bool = True) -> "MaskTensor":
-        return MaskTensor(np.full((length, levels), value, dtype=bool))
-
 
 # -- file format -----------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeMismatchError, ValidationError
-from .features import load_features, resample_nn, save_features
+from .features import load_features, resample_nn
 
 WINDOW = 2048
 SHIFT = 512
@@ -46,9 +46,6 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def save(self, path) -> None:
-        save_features(path, self.vectors, self.front_end_name)
 
     @staticmethod
     def load(path) -> "EmbeddingSet":

@@ -70,6 +70,11 @@ class ModelConfig:
             raise ValidationError("depth must be >= 1")
         if self.heads < 1:
             raise ValidationError(f"heads must be >= 1, got {self.heads}")
+        if self.hidden < 1:
+            raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
+        if not 0 <= self.cond_dropout_prob <= 1:  # a chained comparison, so that nan fails
+            raise ValidationError(f"cond_dropout_prob must lie in [0, 1], got "
+                                  f"{self.cond_dropout_prob}")
         if self.hidden % self.heads != 0:
             raise ValidationError(
                 f"hidden ({self.hidden}) must be divisible by heads ({self.heads})"

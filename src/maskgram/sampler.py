@@ -48,12 +48,13 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValidationError("n_steps must be >= 1")
-        if self.gamma < 0:
-            raise ValidationError("gamma must be >= 0")
-        if self.delta < 0:
-            raise ValidationError("delta must be >= 0")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be > 0")
+        # chained comparisons, so that nan and inf fail too
+        if not 0 <= self.gamma < np.inf:
+            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 <= self.delta < np.inf:
+            raise ValidationError(f"delta must be finite and >= 0, got {self.delta}")
+        if not 0 < self.temperature < np.inf:
+            raise ValidationError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 @dataclass

@@ -38,20 +38,8 @@ class ScavConfig:
             raise ValidationError(
                 "n_scav, h_scav, video_dim, audio_dim and width must be >= 1"
             )
-
-
-@dataclass(frozen=True)
-class ScavPair:
-    """Matched encodings in the common space (audio already reduced)."""
-
-    e_video: np.ndarray
-    e_audio: np.ndarray
-
-    def __post_init__(self):
-        if np.asarray(self.e_video).shape != np.asarray(self.e_audio).shape:
-            raise ShapeMismatchError(
-                "pair", np.asarray(self.e_video).shape, np.asarray(self.e_audio).shape
-            )
+        if not 0 < self.temperature < np.inf:
+            raise ValidationError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def init_scav_params(config: ScavConfig, seed: int) -> dict[str, Tensor]:
@@ -148,15 +136,6 @@ def scav_contrastive_loss_t(e_video: Tensor, e_audio: Tensor,
     if e_video.shape[0] < 2:
         raise ValidationError("contrastive loss requires batch size >= 2")
     return symmetric_diag_ce(-_pairwise_sqdist(e_video, e_audio) * (1.0 / temperature))
-
-
-def scav_contrastive_loss(pairs: list[ScavPair], temperature: float = 0.07) -> float:
-    if len(pairs) < 2:
-        raise ValidationError("contrastive loss requires at least two pairs")
-    e_v = np.stack([np.asarray(p.e_video, dtype=np.float64) for p in pairs])
-    e_a = np.stack([np.asarray(p.e_audio, dtype=np.float64) for p in pairs])
-    with ad.no_grad():
-        return scav_contrastive_loss_t(Tensor(e_v), Tensor(e_a), temperature).item()
 
 
 def select_best(e_video: np.ndarray, candidate_feats: list[np.ndarray],

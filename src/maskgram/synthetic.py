@@ -71,8 +71,9 @@ class SyntheticTaskSpec:
                      "n_classes"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.noise_level < 0:
-            raise ValidationError("noise_level must be >= 0")
+        if not 0 <= self.noise_level < np.inf:
+            raise ValidationError(
+                f"noise_level must be finite and >= 0, got {self.noise_level}")
 
     def codebook_spec(self) -> CodebookSpec:
         return CodebookSpec(levels=self.levels, vocab_size=self.vocab_size)

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codegram import Codegram, MaskTensor
 from .errors import NonFiniteError, ShapeMismatchError, ValidationError
 from .features import resample_indices
 from .model import MaskedGridTransformer, ModelConfig
@@ -34,21 +33,9 @@ class LossBreakdown:
     l_mask: float
     l_mse: float
     l_contrastive: float
-    lambda_reg: float = 1.0
-    lambda_cont: float = 1.0
-
-    @property
-    def total(self) -> float:
-        return self.l_mask + self.lambda_reg * self.l_mse + self.lambda_cont * self.l_contrastive
 
 
 # -- loss terms ---------------------------------------------------------------
-
-
-def _as_logits_array(logits) -> np.ndarray:
-    if isinstance(logits, Tensor):
-        return logits.data
-    return np.asarray(logits, dtype=np.float64)
 
 
 def masked_ce_t(logits: Tensor, tokens: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -62,17 +49,6 @@ def masked_ce_t(logits: Tensor, tokens: np.ndarray, mask: np.ndarray) -> Tensor:
     return ad.tsum(picked * np.where(mask, -1.0 / count, 0.0))
 
 
-def masked_ce(logits, codegram: Codegram, mask: MaskTensor) -> float:
-    """Array-facing wrapper over `masked_ce_t` for a single grid."""
-    values = _as_logits_array(logits)
-    if values.shape != codegram.tokens.shape + (codegram.spec.vocab_size,):
-        raise ShapeMismatchError(
-            "logits", codegram.tokens.shape + (codegram.spec.vocab_size,), values.shape
-        )
-    with ad.no_grad():
-        return masked_ce_t(Tensor(values), codegram.tokens, mask.flags).item()
-
-
 def seq_mse_t(encoder_seq: Tensor, target_seq: Tensor) -> Tensor:
     """Mean squared difference after resampling the target to the encoder length."""
     if encoder_seq.shape[-1] != target_seq.shape[-1]:
@@ -84,12 +60,6 @@ def seq_mse_t(encoder_seq: Tensor, target_seq: Tensor) -> Tensor:
         )
     diff = encoder_seq - target_seq
     return ad.tmean(diff * diff)
-
-
-def seq_mse(encoder_seq: np.ndarray, target_seq: np.ndarray) -> float:
-    with ad.no_grad():
-        return seq_mse_t(Tensor(np.asarray(encoder_seq, dtype=np.float64)),
-                         Tensor(np.asarray(target_seq, dtype=np.float64))).item()
 
 
 def _diag_ce(sim: Tensor) -> Tensor:
@@ -119,31 +89,15 @@ def clip_contrastive_t(cls_batch: Tensor, target_batch: Tensor, temperature) -> 
     return symmetric_diag_ce(sim)
 
 
-def clip_contrastive(cls_batch: np.ndarray, target_batch: np.ndarray,
-                     temperature: float = 1.0) -> float:
-    with ad.no_grad():
-        return clip_contrastive_t(
-            Tensor(np.asarray(cls_batch, dtype=np.float64)),
-            Tensor(np.asarray(target_batch, dtype=np.float64)),
-            temperature,
-        ).item()
-
-
-def masked_token_accuracy(logits, codegram_or_tokens, mask) -> float | None:
+def masked_token_accuracy(logits: np.ndarray, tokens: np.ndarray,
+                          flags: np.ndarray) -> float | None:
     """Fraction of masked positions whose argmax logit hits the true token.
 
     Returns None when nothing is masked (not applicable).
     """
-    values = _as_logits_array(logits)
-    tokens = (
-        codegram_or_tokens.tokens
-        if isinstance(codegram_or_tokens, Codegram)
-        else np.asarray(codegram_or_tokens)
-    )
-    flags = mask.flags if isinstance(mask, MaskTensor) else np.asarray(mask, dtype=bool)
     if not flags.any():
         return None
-    pred = values.argmax(axis=-1)
+    pred = logits.argmax(axis=-1)
     return float((pred[flags] == tokens[flags]).mean())
 
 
@@ -362,10 +316,9 @@ def train_step(
         aux["aux.logit_scale"].data = np.clip(
             aux["aux.logit_scale"].data, 0.0, MAX_LOGIT_SCALE
         )
-    accuracy = masked_token_accuracy(logits, batch.tokens, masks)
+    accuracy = masked_token_accuracy(logits.data, batch.tokens, masks)
     loss = LossBreakdown(
         l_mask=parts["l_mask"], l_mse=parts["l_mse"], l_contrastive=parts["l_cont"],
-        lambda_reg=lambda_reg, lambda_cont=lambda_cont,
     )
     return StepResult(loss=loss, lr=lr, accuracy=accuracy)
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from maskgram import autodiff as ad
+from maskgram.autodiff import Tensor
 from maskgram.codegram import Codegram, CodebookSpec
 from maskgram.features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC
 from maskgram.model import MaskedGridTransformer, ModelConfig, StreamSpec
@@ -35,16 +36,15 @@ from maskgram.synthetic import (
 from maskgram.train import (
     Batch,
     TrainConfig,
-    clip_contrastive,
+    clip_contrastive_t,
     compute_losses,
     evaluate_masked_accuracy,
     init_aux_params,
-    masked_ce,
-    seq_mse,
+    masked_ce_t,
+    seq_mse_t,
     train_model,
 )
-from maskgram.codegram import MaskTensor
-from maskgram.selector import ScavPair, scav_contrastive_loss
+from maskgram.selector import scav_contrastive_loss_t
 
 
 @contextlib.contextmanager
@@ -114,55 +114,56 @@ def test_criterion_2_loss_oracles():
     with criterion(2, "loss correctness vs loop oracles"):
         start = time.time()
         rng = np.random.default_rng(2001)
-        for _ in range(100):
-            length, levels, vocab = (int(rng.integers(2, 7)) for _ in range(3))
-            vocab += 2
-            spec = CodebookSpec(levels=levels, vocab_size=vocab, embed_dim=4)
-            tokens = rng.integers(0, vocab, (length, levels))
-            grid = Codegram(tokens, spec)
-            flags = rng.random((length, levels)) < 0.5
-            logits = rng.normal(size=(length, levels, vocab))
-            got = masked_ce(logits, grid, MaskTensor(flags))
-            assert abs(got - _loop_masked_ce(logits, tokens, flags)) <= 1e-12
+        # the losses training runs, evaluated without building a graph
+        with ad.no_grad():
+            for _ in range(100):
+                length, levels, vocab = (int(rng.integers(2, 7)) for _ in range(3))
+                vocab += 2
+                tokens = rng.integers(0, vocab, (length, levels))
+                flags = rng.random((length, levels)) < 0.5
+                logits = rng.normal(size=(length, levels, vocab))
+                got = masked_ce_t(Tensor(logits), tokens, flags).item()
+                assert abs(got - _loop_masked_ce(logits, tokens, flags)) <= 1e-12
 
-            # exact invariance to unmasked-logit perturbation
-            perturbed = logits.copy()
-            perturbed[~flags] += rng.normal(size=perturbed[~flags].shape) * 50
-            assert masked_ce(perturbed, grid, MaskTensor(flags)) == got
+                # exact invariance to unmasked-logit perturbation
+                perturbed = logits.copy()
+                perturbed[~flags] += rng.normal(size=perturbed[~flags].shape) * 50
+                assert masked_ce_t(Tensor(perturbed), tokens, flags).item() == got
 
-        for _ in range(100):
-            n, n2, width = int(rng.integers(2, 9)), int(rng.integers(2, 9)), 5
-            enc = rng.normal(size=(n, width))
-            tgt = rng.normal(size=(n2, width))
-            from maskgram.features import resample_nn
+            for _ in range(100):
+                n, n2, width = int(rng.integers(2, 9)), int(rng.integers(2, 9)), 5
+                enc = rng.normal(size=(n, width))
+                tgt = rng.normal(size=(n2, width))
+                from maskgram.features import resample_nn
 
-            expected = float(np.mean((enc - resample_nn(tgt, n)) ** 2))
-            assert abs(seq_mse(enc, tgt) - expected) <= 1e-12
+                expected = float(np.mean((enc - resample_nn(tgt, n)) ** 2))
+                assert abs(seq_mse_t(Tensor(enc), Tensor(tgt)).item() - expected) <= 1e-12
 
-        for _ in range(100):
-            b, width = int(rng.integers(2, 9)), 6
-            cls = rng.normal(size=(b, width))
-            tgt = rng.normal(size=(b, width))
-            tau = float(rng.uniform(0.1, 2.0))
-            a = cls / np.linalg.norm(cls, axis=1, keepdims=True)
-            t = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
-            expected = _loop_symmetric_ce(a @ t.T / tau)
-            assert abs(clip_contrastive(cls, tgt, tau) - expected) <= 1e-12
+            for _ in range(100):
+                b, width = int(rng.integers(2, 9)), 6
+                cls = rng.normal(size=(b, width))
+                tgt = rng.normal(size=(b, width))
+                tau = float(rng.uniform(0.1, 2.0))
+                a = cls / np.linalg.norm(cls, axis=1, keepdims=True)
+                t = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
+                expected = _loop_symmetric_ce(a @ t.T / tau)
+                got = clip_contrastive_t(Tensor(cls), Tensor(tgt), tau).item()
+                assert abs(got - expected) <= 1e-12
 
-        for _ in range(100):
-            b = int(rng.integers(2, 7))
-            pairs = [
-                ScavPair(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
-                for _ in range(b)
-            ]
-            tau = float(rng.uniform(0.1, 2.0))
-            d = np.zeros((b, b))
-            for i in range(b):
-                for j in range(b):
-                    diff = pairs[i].e_video - pairs[j].e_audio
-                    d[i, j] = (diff * diff).mean()
-            expected = _loop_symmetric_ce(-d / tau)
-            assert abs(scav_contrastive_loss(pairs, tau) - expected) <= 1e-12
+            for _ in range(100):
+                b = int(rng.integers(2, 7))
+                pairs = [(rng.normal(size=(4, 3)), rng.normal(size=(4, 3))) for _ in range(b)]
+                e_video = np.stack([v for v, _ in pairs])
+                e_audio = np.stack([a for _, a in pairs])
+                tau = float(rng.uniform(0.1, 2.0))
+                d = np.zeros((b, b))
+                for i in range(b):
+                    for j in range(b):
+                        diff = e_video[i] - e_audio[j]
+                        d[i, j] = (diff * diff).mean()
+                expected = _loop_symmetric_ce(-d / tau)
+                got = scav_contrastive_loss_t(Tensor(e_video), Tensor(e_audio), tau).item()
+                assert abs(got - expected) <= 1e-12
         assert time.time() - start < 10.0
 
 

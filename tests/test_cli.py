@@ -558,6 +558,36 @@ def test_sample_reads_only_the_sampled_example(dataset, tmp_path):
                 "--index", "3", "--steps", "2", "--out", str(tmp_path / "s")]) == 3
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen-data", "--noise-level", "nan"),
+    ("train", "--hidden", "0"),
+    ("train", "--cond-dropout", "2"),
+    ("train", "--cond-dropout", "nan"),
+    ("scav", "--scav-temperature", "0"),
+    ("scav", "--scav-temperature", "-1"),
+    ("scav", "--scav-temperature", "nan"),
+    ("sample", "--gamma", "nan"),
+    ("sample", "--gamma", "inf"),
+    ("sample", "--temp", "nan"),
+    ("sample", "--delta", "nan"),
+    ("sample", "--delta", "inf"),
+])
+def test_out_of_range_numeric_flag_exits_4(fuzz_dataset, tmp_path, capsys,
+                                           command, flag, value):
+    out = tmp_path / "out"
+    data = ["--data", str(fuzz_dataset), "--out", str(out)]
+    argv = {
+        "gen-data": gen_args(out),
+        "train": ["train", *data],
+        "scav": ["train", *data, "--what", "scav"],
+        "sample": ["sample", "--ckpt", str(fuzz_dataset / "model.ckpt"), *data],
+    }[command]
+    capsys.readouterr()
+    assert run([*argv, flag, value]) == 4
+    _assert_one_line_error(capsys, "validation")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "data"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maskgram.errors import ShapeMismatchError, ValidationError
+from maskgram.features import save_features
 from maskgram.metrics import (
     EmbeddingSet,
     GaussianStats,
@@ -232,7 +233,7 @@ def test_embedding_set_save_load(tmp_path):
     rng = np.random.default_rng(9)
     emb = EmbeddingSet(rng.normal(size=(12, 5)).astype(np.float32), "custom")
     path = tmp_path / "emb.emb"
-    emb.save(path)
+    save_features(path, emb.vectors, emb.front_end_name)
     loaded = EmbeddingSet.load(path)
     assert loaded.front_end_name == "custom"
     np.testing.assert_allclose(loaded.vectors, emb.vectors, atol=1e-7)

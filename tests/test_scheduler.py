@@ -80,7 +80,7 @@ def test_binomial_conditional_distribution_chi_square():
     p = math.cos(u)
     size = 6 * 5
     counts = np.array([
-        draw_train_mask(6, 5, rng, u=u).mask.count_masked for _ in range(10_000)
+        draw_train_mask(6, 5, rng, u=u).mask.flags.sum() for _ in range(10_000)
     ])
     ks = np.arange(size + 1)
     pmf = stats.binom.pmf(ks, size, p)

@@ -5,19 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from maskgram import autodiff as ad
+from maskgram.autodiff import Tensor
 from maskgram.errors import ValidationError
 from maskgram.selector import (
     AUDIO_SUBBANDS,
     ScavConfig,
-    ScavPair,
     init_scav_params,
-    scav_contrastive_loss,
+    scav_contrastive_loss_t,
     scav_distance,
     scav_encode_audio,
     scav_encode_video,
     select_best,
     train_scav,
 )
+
+
+def contrastive_loss(e_video, e_audio, temperature) -> float:
+    """`scav_contrastive_loss_t` on stacked (B, N, H) arrays, without a graph."""
+    with ad.no_grad():
+        return scav_contrastive_loss_t(Tensor(e_video), Tensor(e_audio), temperature).item()
 
 
 def small_config():
@@ -93,34 +100,29 @@ def test_distance_matches_loop_oracle_and_symmetry():
 
 
 def test_contrastive_separated_pairs_loss_near_zero():
-    pairs = []
-    for i in range(4):
-        e = np.zeros((3, 2))
-        e[:, 0] = 100.0 * i
-        pairs.append(ScavPair(e_video=e, e_audio=e.copy()))
-    assert scav_contrastive_loss(pairs, temperature=1.0) < 1e-6
+    e = np.zeros((4, 3, 2))
+    e[:, :, 0] = 100.0 * np.arange(4)[:, None]
+    assert contrastive_loss(e, e.copy(), temperature=1.0) < 1e-6
 
 
 def test_contrastive_identical_pairs_is_log_b():
-    e = np.ones((3, 2))
-    pairs = [ScavPair(e, e) for _ in range(5)]
-    assert scav_contrastive_loss(pairs, 0.5) == pytest.approx(math.log(5), abs=1e-12)
+    e = np.ones((5, 3, 2))
+    assert contrastive_loss(e, e, 0.5) == pytest.approx(math.log(5), abs=1e-12)
 
 
 def test_contrastive_matches_double_loop_oracle():
     rng = np.random.default_rng(8)
     for _ in range(100):
-        pairs = [
-            ScavPair(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
-            for _ in range(4)
-        ]
+        pairs = [(rng.normal(size=(4, 3)), rng.normal(size=(4, 3))) for _ in range(4)]
+        e_video = np.stack([v for v, _ in pairs])
+        e_audio = np.stack([a for _, a in pairs])
         tau = 0.7
-        got = scav_contrastive_loss(pairs, tau)
+        got = contrastive_loss(e_video, e_audio, tau)
 
         d = np.zeros((4, 4))
         for i in range(4):
             for j in range(4):
-                diff = pairs[i].e_video - pairs[j].e_audio
+                diff = e_video[i] - e_audio[j]
                 d[i, j] = (diff * diff).mean()
         logits = -d / tau
 
@@ -137,16 +139,18 @@ def test_contrastive_matches_double_loop_oracle():
 
 def test_contrastive_decreases_as_matched_pair_gets_closer():
     rng = np.random.default_rng(9)
-    base = [ScavPair(rng.normal(size=(3, 2)), rng.normal(size=(3, 2))) for _ in range(3)]
-    closer = list(base)
-    closer[0] = ScavPair(base[0].e_video, np.asarray(base[0].e_video) * 1.0)
-    assert scav_contrastive_loss(closer, 1.0) < scav_contrastive_loss(base, 1.0)
+    pairs = [(rng.normal(size=(3, 2)), rng.normal(size=(3, 2))) for _ in range(3)]
+    e_video = np.stack([v for v, _ in pairs])
+    e_audio = np.stack([a for _, a in pairs])
+    closer = e_audio.copy()
+    closer[0] = e_video[0]
+    assert contrastive_loss(e_video, closer, 1.0) < contrastive_loss(e_video, e_audio, 1.0)
 
 
 def test_contrastive_rejects_singleton():
-    e = np.ones((3, 2))
+    e = np.ones((1, 3, 2))
     with pytest.raises(ValidationError):
-        scav_contrastive_loss([ScavPair(e, e)], 1.0)
+        contrastive_loss(e, e, 1.0)
 
 
 def test_select_best_base_cases():

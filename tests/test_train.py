@@ -7,22 +7,21 @@ import pytest
 
 from maskgram import autodiff as ad
 from maskgram.autodiff import Tensor
-from maskgram.codegram import Codegram, CodebookSpec, MaskTensor
+from maskgram.codegram import Codegram, CodebookSpec
 from maskgram.errors import NonFiniteError, ValidationError
 from maskgram.features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC
 from maskgram.model import MaskedGridTransformer, ModelConfig, StreamSpec
 from maskgram.train import (
     AdamW,
     Batch,
-    LossBreakdown,
     LrSchedule,
     TrainConfig,
-    clip_contrastive,
+    clip_contrastive_t,
     compute_losses,
     init_aux_params,
-    masked_ce,
+    masked_ce_t,
     masked_token_accuracy,
-    seq_mse,
+    seq_mse_t,
     train_model,
     train_step,
 )
@@ -34,6 +33,12 @@ def spec_and_grid(rng, length=5, levels=3, vocab=8):
     return spec, grid
 
 
+def value(loss_t, *args) -> float:
+    """A `_t` loss's value, computed without building a graph."""
+    with ad.no_grad():
+        return loss_t(*args).item()
+
+
 # -- masked cross-entropy ---------------------------------------------------------
 
 
@@ -41,7 +46,8 @@ def test_masked_ce_empty_mask_is_zero():
     rng = np.random.default_rng(0)
     spec, grid = spec_and_grid(rng)
     logits = rng.normal(size=(5, 3, 8))
-    assert masked_ce(logits, grid, MaskTensor.full(5, 3, False)) == 0.0
+    flags = np.zeros((5, 3), dtype=bool)
+    assert value(masked_ce_t, Tensor(logits), grid.tokens, flags) == 0.0
 
 
 def test_masked_ce_uniform_logits_is_log_vocab():
@@ -50,8 +56,8 @@ def test_masked_ce_uniform_logits_is_log_vocab():
     grid = Codegram(rng.integers(0, 64, (3, 1)), spec)
     flags = np.zeros((3, 1), dtype=bool)
     flags[1, 0] = True
-    value = masked_ce(np.zeros((3, 1, 64)), grid, MaskTensor(flags))
-    assert value == pytest.approx(math.log(64), abs=1e-12)
+    loss = value(masked_ce_t, Tensor(np.zeros((3, 1, 64))), grid.tokens, flags)
+    assert loss == pytest.approx(math.log(64), abs=1e-12)
 
 
 def test_masked_ce_matches_loop_oracle():
@@ -60,7 +66,7 @@ def test_masked_ce_matches_loop_oracle():
         spec, grid = spec_and_grid(rng)
         logits = rng.normal(size=(5, 3, 8))
         flags = rng.random((5, 3)) < 0.5
-        got = masked_ce(logits, grid, MaskTensor(flags))
+        got = value(masked_ce_t, Tensor(logits), grid.tokens, flags)
 
         total, count = 0.0, 0
         for l in range(5):
@@ -81,10 +87,10 @@ def test_masked_ce_ignores_unmasked_logits_exactly():
     flags = rng.random((5, 3)) < 0.4
     flags[0, 0] = True
     logits = rng.normal(size=(5, 3, 8))
-    before = masked_ce(logits, grid, MaskTensor(flags))
+    before = value(masked_ce_t, Tensor(logits), grid.tokens, flags)
     perturbed = logits.copy()
     perturbed[~flags] += rng.normal(size=perturbed[~flags].shape) * 100
-    after = masked_ce(perturbed, grid, MaskTensor(flags))
+    after = value(masked_ce_t, Tensor(perturbed), grid.tokens, flags)
     assert before == after
 
 
@@ -94,9 +100,9 @@ def test_masked_ce_decreases_when_true_logit_rises():
     flags = np.zeros((5, 3), dtype=bool)
     flags[2, 1] = True
     logits = rng.normal(size=(5, 3, 8))
-    base = masked_ce(logits, grid, MaskTensor(flags))
+    base = value(masked_ce_t, Tensor(logits), grid.tokens, flags)
     logits[2, 1, grid.tokens[2, 1]] += 1.0
-    assert masked_ce(logits, grid, MaskTensor(flags)) < base
+    assert value(masked_ce_t, Tensor(logits), grid.tokens, flags) < base
 
 
 # -- sequence MSE ------------------------------------------------------------------
@@ -105,13 +111,13 @@ def test_masked_ce_decreases_when_true_logit_rises():
 def test_seq_mse_identical_is_zero():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 4))
-    assert seq_mse(a, a) == 0.0
+    assert value(seq_mse_t, Tensor(a), Tensor(a)) == 0.0
 
 
 def test_seq_mse_constant_offset():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(6, 4))
-    assert seq_mse(a, a + 3.0) == pytest.approx(9.0, abs=1e-12)
+    assert value(seq_mse_t, Tensor(a), Tensor(a + 3.0)) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_seq_mse_resamples_target_to_encoder_length():
@@ -121,12 +127,12 @@ def test_seq_mse_resamples_target_to_encoder_length():
     enc = rng.normal(size=(7, 4))
     target = rng.normal(size=(5, 4))
     expected = float(np.mean((enc - resample_nn(target, 7)) ** 2))
-    assert seq_mse(enc, target) == pytest.approx(expected, abs=1e-12)
+    assert value(seq_mse_t, Tensor(enc), Tensor(target)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_seq_mse_width_mismatch():
     with pytest.raises(Exception):
-        seq_mse(np.zeros((3, 4)), np.zeros((3, 5)))
+        value(seq_mse_t, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 5))))
 
 
 # -- contrastive --------------------------------------------------------------------
@@ -134,13 +140,14 @@ def test_seq_mse_width_mismatch():
 
 def test_clip_contrastive_orthonormal_two_pairs():
     cls = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = clip_contrastive(cls, cls, temperature=1.0)
+    loss = value(clip_contrastive_t, Tensor(cls), Tensor(cls), 1.0)
     assert loss == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
 
 
 def test_clip_contrastive_collapsed_batch_is_log_b():
     vec = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
-    assert clip_contrastive(vec, vec, 1.0) == pytest.approx(math.log(5), abs=1e-12)
+    loss = value(clip_contrastive_t, Tensor(vec), Tensor(vec), 1.0)
+    assert loss == pytest.approx(math.log(5), abs=1e-12)
 
 
 def test_clip_contrastive_matches_double_loop_oracle():
@@ -150,7 +157,7 @@ def test_clip_contrastive_matches_double_loop_oracle():
         cls = rng.normal(size=(b, 6))
         tgt = rng.normal(size=(b, 6))
         tau = 0.3
-        got = clip_contrastive(cls, tgt, tau)
+        got = value(clip_contrastive_t, Tensor(cls), Tensor(tgt), tau)
 
         a = cls / np.linalg.norm(cls, axis=1, keepdims=True)
         t = tgt / np.linalg.norm(tgt, axis=1, keepdims=True)
@@ -175,14 +182,14 @@ def test_clip_contrastive_rotation_invariant():
     cls = rng.normal(size=(6, 5))
     tgt = rng.normal(size=(6, 5))
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-    base = clip_contrastive(cls, tgt, 0.5)
-    rotated = clip_contrastive(cls @ q, tgt @ q, 0.5)
+    base = value(clip_contrastive_t, Tensor(cls), Tensor(tgt), 0.5)
+    rotated = value(clip_contrastive_t, Tensor(cls @ q), Tensor(tgt @ q), 0.5)
     assert rotated == pytest.approx(base, abs=1e-10)
 
 
 def test_clip_contrastive_rejects_singleton():
     with pytest.raises(ValidationError):
-        clip_contrastive(np.ones((1, 4)), np.ones((1, 4)), 1.0)
+        value(clip_contrastive_t, Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))), 1.0)
 
 
 # -- accuracy -----------------------------------------------------------------------
@@ -191,17 +198,17 @@ def test_clip_contrastive_rejects_singleton():
 def test_accuracy_one_hot_logits():
     rng = np.random.default_rng(10)
     spec, grid = spec_and_grid(rng)
-    mask = MaskTensor.full(5, 3, True)
+    flags = np.ones((5, 3), dtype=bool)
     logits = np.zeros((5, 3, 8))
     for l in range(5):
         for k in range(3):
             logits[l, k, grid.tokens[l, k]] = 5.0
-    assert masked_token_accuracy(logits, grid, mask) == 1.0
+    assert masked_token_accuracy(logits, grid.tokens, flags) == 1.0
     wrong = np.zeros((5, 3, 8))
     for l in range(5):
         for k in range(3):
             wrong[l, k, (grid.tokens[l, k] + 1) % 8] = 5.0
-    assert masked_token_accuracy(wrong, grid, mask) == 0.0
+    assert masked_token_accuracy(wrong, grid.tokens, flags) == 0.0
 
 
 def test_accuracy_matches_loop_oracle_and_none_when_unmasked():
@@ -209,26 +216,17 @@ def test_accuracy_matches_loop_oracle_and_none_when_unmasked():
     spec, grid = spec_and_grid(rng)
     flags = rng.random((5, 3)) < 0.5
     logits = rng.normal(size=(5, 3, 8))
-    got = masked_token_accuracy(logits, grid, MaskTensor(flags))
+    got = masked_token_accuracy(logits, grid.tokens, flags)
     if flags.any():
         hits = sum(
             int(np.argmax(logits[l, k]) == grid.tokens[l, k])
             for l in range(5) for k in range(3) if flags[l, k]
         )
         assert got == pytest.approx(hits / flags.sum())
-    assert masked_token_accuracy(logits, grid, MaskTensor.full(5, 3, False)) is None
+    assert masked_token_accuracy(logits, grid.tokens, np.zeros((5, 3), dtype=bool)) is None
 
 
-# -- loss breakdown / schedule / optimizer ---------------------------------------------
-
-
-def test_loss_breakdown_total_weighted_sum():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        parts = rng.random(3)
-        lr_, lc_ = rng.random(2) * 4
-        loss = LossBreakdown(*parts, lambda_reg=lr_, lambda_cont=lc_)
-        assert loss.total == parts[0] + lr_ * parts[1] + lc_ * parts[2]
+# -- config / schedule / optimizer --------------------------------------------------
 
 
 @pytest.mark.parametrize("field, value", [("steps", 0), ("batch_size", 0), ("warmup", -1)])
@@ -371,6 +369,18 @@ def test_distinct_target_embed_dim_projects_encoder_side():
     assert math.isfinite(total.item())
     total.backward()
     assert aux["aux.enc.w"].grad is not None
+
+
+def test_compute_losses_total_is_the_weighted_sum_of_its_parts():
+    model, aux = tiny_model(seed=12)
+    rng = np.random.default_rng(12)
+    batch = tiny_batch(rng)
+    masks = rng.random(batch.tokens.shape) < 0.5
+    for lambda_reg, lambda_cont in rng.random((5, 2)) * 4:
+        total, _, parts, _ = compute_losses(model, aux, batch, masks, None,
+                                            lambda_reg, lambda_cont)
+        expected = parts["l_mask"] + lambda_reg * parts["l_mse"] + lambda_cont * parts["l_cont"]
+        assert total.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_full_dropout_makes_loss_independent_of_bundle_contents():
