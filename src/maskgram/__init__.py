@@ -12,7 +12,7 @@ from .codegram import (
     load_codegram,
     save_codegram,
 )
-from .features import ConditioningBundle, FeatureStream, resample_nn
+from .features import resample_nn
 from .model import MaskedGridTransformer, ModelConfig, StreamSpec
 from .sampler import SamplerConfig, guided_logits, sample_batch
 from .scheduler import SampleSchedule, TrainMaskDraw, build_sample_schedule, draw_train_mask
@@ -23,8 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Codegram",
     "CodebookSpec",
-    "ConditioningBundle",
-    "FeatureStream",
     "LossBreakdown",
     "MaskTensor",
     "MaskedGridTransformer",

@@ -280,17 +280,17 @@ def cmd_train(args) -> int:
 # -- sample ------------------------------------------------------------------------
 
 
-def _sample_rows(model, bundles, seeds, length, config, threads,
+def _sample_rows(model, rows, seeds, length, config, threads,
                  trace=None) -> list[Codegram]:
     """sample_batch over row chunks split evenly across `threads` workers, in order."""
-    size = min(SAMPLE_CHUNK_ROWS, max(MIN_CHUNK_ROWS, -(-len(bundles) // threads)))
+    size = min(SAMPLE_CHUNK_ROWS, max(MIN_CHUNK_ROWS, -(-len(rows) // threads)))
 
     def run_chunk(start: int) -> list[Codegram]:
-        rows = slice(start, start + size)
-        return sample_batch(model, bundles[rows], length, config, seeds=seeds[rows],
+        chunk = slice(start, start + size)
+        return sample_batch(model, rows[chunk], length, config, seeds=seeds[chunk],
                             trace=trace if start == 0 else None)
 
-    starts = range(0, len(bundles), size)
+    starts = range(0, len(rows), size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # a lone worker runs here: a pool thread (started on first map) would add
         # its own malloc arena to the peak RSS and nothing else
@@ -315,7 +315,7 @@ def cmd_sample(args) -> int:
         raise ValidationError(
             f"index {args.index} outside split {args.split!r} of {len(split)}"
         )
-    bundle = bundle_for(load_example(args.data, split[args.index]), task)
+    row = bundle_for(load_example(args.data, split[args.index]), task)
     config = SamplerConfig(
         n_steps=args.steps, gamma=args.gamma, delta=args.delta,
         temperature=args.temp, seed=args.seed, force_two_pass=args.force_two_pass,
@@ -324,7 +324,7 @@ def cmd_sample(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trace: list[str] | None = [] if args.trace else None
     seeds = [derive_seed(args.seed, "sample", args.index, b) for b in range(args.beams)]
-    grids = _sample_rows(model, [bundle] * args.beams, seeds, task.length, config,
+    grids = _sample_rows(model, [row] * args.beams, seeds, task.length, config,
                          args.threads, trace)
     if trace is not None:
         sys.stdout.write("\n".join(trace) + "\n")
@@ -442,6 +442,10 @@ def cmd_pipeline(args) -> int:
     _print_resolved("pipeline", args)
     _require_positive(args, "beams", "threads", "eval_count", "train_steps", "scav_steps",
                       "batch_size")
+    sampler_cfg = SamplerConfig(
+        n_steps=args.steps, gamma=args.gamma, delta=args.delta, temperature=args.temp,
+        seed=args.seed,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = _task_spec_from_args(args)
@@ -466,10 +470,6 @@ def cmd_pipeline(args) -> int:
     eval_count = min(args.eval_count, len(test_examples))
     chosen_dir = out / "chosen"
     chosen_dir.mkdir(exist_ok=True)
-    sampler_cfg = SamplerConfig(
-        n_steps=args.steps, gamma=args.gamma, delta=args.delta, temperature=args.temp,
-        seed=args.seed,
-    )
 
     rows = [(test_examples[e], b) for e in range(eval_count) for b in range(args.beams)]
     all_beams = _sample_rows(

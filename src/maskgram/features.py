@@ -1,17 +1,17 @@
-"""Conditioning feature sequences and their length adaptation.
+"""Conditioning feature sequences, their batching and length adaptation.
 
-Feature sequences stand in for pretrained frame-level encoders: each stream is
-an N x C real matrix tagged with a semantic role. Two roles exist:
-frame-semantic streams ("clip-like", one vector per frame) and
-alignment-sensitive streams ("s3d-like", tuned to event onsets). Streams of
-different lengths are reconciled by nearest-neighbor resampling (frame
-repetition).
+Feature sequences stand in for pretrained frame-level encoders. A row's
+conditioning is a dict of streams, name -> (N, C) real matrix, as
+`make_example` and `load_example` produce it; the model's `StreamSpec`s say
+which stream is frame-semantic ("clip-like", one vector per frame) and which is
+alignment-sensitive ("s3d-like", tuned to event onsets). Per-row arrays become
+a batch only through `stack_rows`, which checks them. Streams of different
+lengths are reconciled by nearest-neighbor resampling (frame repetition).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,57 +26,32 @@ from .errors import (
 
 FRAME_SEMANTIC = "frame-semantic"
 ALIGNMENT_SENSITIVE = "alignment-sensitive"
-_ROLES = (FRAME_SEMANTIC, ALIGNMENT_SENSITIVE)
 
 
-@dataclass(frozen=True)
-class FeatureStream:
-    """One named conditioning sequence (frames x channels)."""
+def stack_rows(rows, field: str) -> np.ndarray:
+    """`row[field]` of every row, stacked on a new leading axis.
 
-    name: str
-    sequence: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        seq = np.ascontiguousarray(self.sequence, dtype=np.float64)
-        if seq.ndim != 2 or seq.shape[0] < 1:
-            raise ValidationError(
-                f"stream {self.name!r} must be a non-empty 2-D (frames, channels) matrix"
-            )
-        if not np.isfinite(seq).all():
-            raise ValidationError(f"stream {self.name!r} contains non-finite values")
-        if self.role not in _ROLES:
-            raise ValidationError(f"unknown stream role {self.role!r}")
-        seq.setflags(write=False)
-        object.__setattr__(self, "sequence", seq)
-
-    @property
-    def frames(self) -> int:
-        return self.sequence.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.sequence.shape[1]
+    The one rule for turning per-row data into a batch: every row holds the
+    field (else MissingStreamError), at row 0's shape (else ShapeMismatchError
+    naming the field), and float data is non-empty and finite.
+    """
+    try:
+        arrays = [np.asarray(row[field]) for row in rows]
+    except KeyError:
+        raise MissingStreamError(f"a row has no {field!r}") from None
+    shape = arrays[0].shape
+    for arr in arrays:
+        if arr.shape != shape:
+            raise ShapeMismatchError(f"{field!r} across rows", shape, arr.shape)
+    out = np.stack(arrays)
+    if out.dtype.kind == "f" and not (out.size and np.isfinite(out).all()):
+        raise ValidationError(f"{field!r} is empty or holds non-finite values")
+    return out
 
 
-@dataclass(frozen=True)
-class ConditioningBundle:
-    """Ordered collection of feature streams for one example."""
-
-    streams: tuple[FeatureStream, ...]
-
-    def __post_init__(self):
-        if not self.streams:
-            raise ValidationError("bundle must contain at least one stream")
-        names = [s.name for s in self.streams]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate stream names: {names}")
-
-    def get(self, name: str) -> FeatureStream:
-        for s in self.streams:
-            if s.name == name:
-                return s
-        raise MissingStreamError(f"no stream named {name!r}")
+def stack_streams(rows: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Per-row stream dicts as one batch, name -> (B, N, C), each by `stack_rows`."""
+    return {name: stack_rows(rows, name) for name in rows[0]}
 
 
 def resample_indices(n_in: int, n_out: int) -> np.ndarray:
@@ -130,20 +105,3 @@ def load_features(path) -> tuple[np.ndarray, str]:
     matrix = reader.array("<f4", (n, d), "feature payload")
     reader.finish()
     return matrix.astype(np.float64), name
-
-
-def stack_streams(bundles: list[ConditioningBundle]) -> dict[str, np.ndarray]:
-    """Stack equally-shaped streams across a batch: name -> (B, N, C)."""
-    first = bundles[0]
-    stacked = {}
-    for stream in first.streams:
-        mats = []
-        for bundle in bundles:
-            s = bundle.get(stream.name)
-            if s.sequence.shape != stream.sequence.shape:
-                raise ShapeMismatchError(
-                    f"stream {stream.name!r}", stream.sequence.shape, s.sequence.shape
-                )
-            mats.append(s.sequence)
-        stacked[stream.name] = np.stack(mats, axis=0)
-    return stacked

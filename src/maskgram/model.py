@@ -58,7 +58,6 @@ class ModelConfig:
     heads: int = 4
     encoder_depth: int = 2
     aux_target_dim: int = 0
-    target_embed_dim: int | None = None
     cond_dropout_prob: float = 0.10
     max_len: int = 256
     cond_max_len: int = 256
@@ -91,10 +90,6 @@ class ModelConfig:
     def uses_encoder(self) -> bool:
         return self.structure in ("seq2seq", "hybrid")
 
-    @property
-    def aux_width(self) -> int:
-        return self.hidden if self.target_embed_dim is None else self.target_embed_dim
-
     def encoder_streams(self) -> tuple[StreamSpec, ...]:
         if self.structure == "hybrid":
             return tuple(s for s in self.streams if s.role == FRAME_SEMANTIC)
@@ -123,7 +118,6 @@ class ModelConfig:
             "heads": self.heads,
             "encoder_depth": self.encoder_depth,
             "aux_target_dim": self.aux_target_dim,
-            "target_embed_dim": self.target_embed_dim,
             "cond_dropout_prob": self.cond_dropout_prob,
             "max_len": self.max_len,
             "cond_max_len": self.cond_max_len,
@@ -140,7 +134,6 @@ class ModelConfig:
             heads=d["heads"],
             encoder_depth=d["encoder_depth"],
             aux_target_dim=d["aux_target_dim"],
-            target_embed_dim=d["target_embed_dim"],
             cond_dropout_prob=d["cond_dropout_prob"],
             max_len=d["max_len"],
             cond_max_len=d["cond_max_len"],

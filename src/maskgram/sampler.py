@@ -1,8 +1,10 @@
 """Iterative parallel decoding from a fully masked grid.
 
-Each step: run the model conditionally (and unconditionally when guidance is
-on) over the whole grid, then keep only the still-masked positions. At those
-positions combine logits as (1+gamma)*cond - gamma*uncond. Under guidance
+The conditioning is one stream dict per row, name -> (N, C), stacked into the
+batch by `features.stack_streams`; `None` samples unconditionally. Each step:
+run the model conditionally (and unconditionally when guidance is on) over the
+whole grid, then keep only the still-masked positions. At those positions
+combine logits as (1+gamma)*cond - gamma*uncond. Under guidance
 (gamma > 0) the contrast is taken only over the conditional's plausible
 tokens, those with probability at least 0.1 times the conditional maximum;
 every other token gets -inf. Draw a token from the tempered multinomial and
@@ -23,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .codegram import Codegram, CodebookSpec
 from .errors import ShapeMismatchError, ValidationError
-from .features import ConditioningBundle, stack_streams
+from .features import stack_streams
 from .model import EncoderOutput, MaskedGridTransformer
 from .scheduler import SampleSchedule, build_sample_schedule
 from .seeding import derive_seed
@@ -127,19 +129,18 @@ def _model_logits(model: MaskedGridTransformer, state: SamplerState,
     """Guided logits at the masked positions, (masked, D) in row-major order,
     and the state keeping each pass's encoder output. Under guidance, tokens
     outside the conditional's plausible set get -inf."""
-    feed = np.where(state.mask, 0, state.tokens)  # embedding reads MASK via flags
-
-    def run(drop, enc):  # enc_out only once known, so stand-ins without it still work
-        cached = {} if enc is None else {"enc_out": enc}
-        return model.forward(feed, state.mask, streams, drop, **cached)
-
+    # masked positions hold the sentinel, which forward reads as the MASK embedding
+    tokens, mask = state.tokens, state.mask
     with ad.no_grad():
-        cond_logits, cond_enc = run(None, state.cond_enc)
+        cond_logits, cond_enc = model.forward(tokens, mask, streams, None,
+                                              enc_out=state.cond_enc)
         state = replace(state, cond_enc=cond_enc)
-        cond = cond_logits.data[state.mask]
+        cond = cond_logits.data[mask]
         if config.gamma > 0 or config.force_two_pass:
-            uncond_logits, null_enc = run(np.ones(len(feed), dtype=bool), state.null_enc)
-            logits = guided_logits(cond, uncond_logits.data[state.mask], config.gamma)
+            drop = np.ones(len(tokens), dtype=bool)
+            uncond_logits, null_enc = model.forward(tokens, mask, streams, drop,
+                                                    enc_out=state.null_enc)
+            logits = guided_logits(cond, uncond_logits.data[mask], config.gamma)
             if config.gamma > 0:
                 # the conditional argmax always passes, so no row is all -inf
                 plausible = cond - cond.max(axis=-1, keepdims=True) >= _LOG_PLAUSIBLE_RATIO
@@ -205,17 +206,18 @@ def sample_step(
 
 def sample_batch(
     model: MaskedGridTransformer,
-    bundles: list[ConditioningBundle] | None,
+    rows: list[dict[str, np.ndarray]] | None,
     length: int,
     config: SamplerConfig,
     seeds: list[int] | None = None,
     trace: list[str] | None = None,
 ) -> list[Codegram]:
-    """Run the full schedule for a batch of independent rows; `trace` follows row 0."""
+    """Run the full schedule for a batch of independent rows, each given by its
+    stream dict (or all unconditional when `rows` is None); `trace` follows row 0."""
     spec = model.config.spec
-    if bundles is not None:
-        streams = stack_streams(bundles)
-        batch = len(bundles)
+    if rows is not None:
+        streams = stack_streams(rows)
+        batch = len(rows)
     else:
         streams = None
         batch = 1 if seeds is None else len(seeds)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeMismatchError, ValidationError
-from .features import resample_indices
+from .features import resample_indices, stack_rows
 from .model import check_records, load_checkpoint
 from .seeding import derive_seed
 from .train import AdamW, symmetric_diag_ce
@@ -170,10 +170,9 @@ def train_scav(
     n = len(pairs)
     for _ in range(steps):
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        v = np.stack([np.asarray(pairs[i][0], dtype=np.float64) for i in idx])
-        a = np.stack([np.asarray(pairs[i][1], dtype=np.float64) for i in idx])
-        e_v = _encode(params, "video", v, config)
-        e_a = _encode(params, "audio", a, config)
+        rows = [{"video": pairs[i][0], "audio": pairs[i][1]} for i in idx]
+        e_v = _encode(params, "video", stack_rows(rows, "video"), config)
+        e_a = _encode(params, "audio", stack_rows(rows, "audio"), config)
         loss = scav_contrastive_loss_t(e_v, e_a, config.temperature)
         optimizer.zero_grad()
         loss.backward()

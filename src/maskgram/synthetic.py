@@ -30,14 +30,7 @@ import numpy as np
 
 from .codegram import Codegram, CodebookSpec, load_codegram, load_json, save_codegram
 from .errors import ValidationError
-from .features import (
-    ALIGNMENT_SENSITIVE,
-    FRAME_SEMANTIC,
-    ConditioningBundle,
-    FeatureStream,
-    load_features,
-    save_features,
-)
+from .features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC, load_features, save_features
 from .metrics import EmbeddingSet
 from .model import StreamSpec
 from .seeding import derived_rng
@@ -190,11 +183,9 @@ def split_indices(count: int) -> dict[str, list[int]]:
     }
 
 
-def bundle_for(example: dict, spec: SyntheticTaskSpec) -> ConditioningBundle:
-    return ConditioningBundle((
-        FeatureStream("clip", example["streams"]["clip"], FRAME_SEMANTIC),
-        FeatureStream("s3d", example["streams"]["s3d"], ALIGNMENT_SENSITIVE),
-    ))
+def bundle_for(example: dict, spec: SyntheticTaskSpec) -> dict[str, np.ndarray]:
+    """The sampler's conditioning row of an example: its stream dict."""
+    return example["streams"]
 
 
 def make_dataset(spec: SyntheticTaskSpec, count: int) -> list[dict]:

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NonFiniteError, ShapeMismatchError, ValidationError
-from .features import resample_indices
+from .features import resample_indices, stack_rows, stack_streams
 from .model import MaskedGridTransformer, ModelConfig
 from .scheduler import draw_train_mask
 
@@ -179,6 +179,10 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup < 0:
             raise ValidationError(f"warmup must be >= 0, got {self.warmup}")
+        for name in ("peak_lr", "floor_lr", "weight_decay", "lambda_reg", "lambda_cont"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # a chained comparison, so that nan fails
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
     def schedule(self) -> LrSchedule:
         return LrSchedule(peak=self.peak_lr, floor=self.floor_lr,
@@ -193,21 +197,14 @@ def init_aux_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
         raise ValidationError("seq2seq/hybrid training requires aux_target_dim >= 1")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(config.aux_target_dim)
-    params = {
+    return {
         "aux.proj.w": Tensor(
-            rng.uniform(-bound, bound, (config.aux_target_dim, config.aux_width)),
+            rng.uniform(-bound, bound, (config.aux_target_dim, config.hidden)),
             requires_grad=True,
         ),
-        "aux.proj.b": Tensor(np.zeros(config.aux_width), requires_grad=True),
+        "aux.proj.b": Tensor(np.zeros(config.hidden), requires_grad=True),
         "aux.logit_scale": Tensor(np.array(INIT_LOGIT_SCALE), requires_grad=True),
     }
-    if config.aux_width != config.hidden:
-        hb = 1.0 / np.sqrt(config.hidden)
-        params["aux.enc.w"] = Tensor(
-            rng.uniform(-hb, hb, (config.hidden, config.aux_width)), requires_grad=True
-        )
-        params["aux.enc.b"] = Tensor(np.zeros(config.aux_width), requires_grad=True)
-    return params
 
 
 # -- batches and steps ------------------------------------------------------------
@@ -221,15 +218,12 @@ class Batch:
 
 
 def _stack_examples(examples: list[dict]) -> Batch:
-    """One batch from example dicts; targets only when the examples carry them."""
+    """One checked batch from example dicts; targets only when the examples carry them."""
     return Batch(
-        tokens=np.stack([e["tokens"] for e in examples]),
-        streams={
-            name: np.stack([e["streams"][name] for e in examples])
-            for name in examples[0]["streams"]
-        },
+        tokens=stack_rows(examples, "tokens"),
+        streams=stack_streams([e["streams"] for e in examples]),
         targets=(
-            np.stack([e["target"] for e in examples])
+            stack_rows(examples, "target")
             if examples[0].get("target") is not None else None
         ),
     )
@@ -271,13 +265,9 @@ def compute_losses(
             Tensor(np.asarray(batch.targets, dtype=np.float64)),
             aux["aux.proj.w"], aux["aux.proj.b"],
         )
-        enc_seq, enc_cls = enc_out.sequence, enc_out.cls
-        if "aux.enc.w" in aux:
-            enc_seq = ad.linear(enc_seq, aux["aux.enc.w"], aux["aux.enc.b"])
-            enc_cls = ad.linear(enc_cls, aux["aux.enc.w"], aux["aux.enc.b"])
-        l_mse = seq_mse_t(enc_seq, proj)
+        l_mse = seq_mse_t(enc_out.sequence, proj)
         temperature = ad.exp(-aux["aux.logit_scale"])
-        l_cont = clip_contrastive_t(enc_cls, ad.tmean(proj, axis=1), temperature)
+        l_cont = clip_contrastive_t(enc_out.cls, ad.tmean(proj, axis=1), temperature)
         parts["l_mse"] = l_mse.item()
         parts["l_cont"] = l_cont.item()
         total = total + lambda_reg * l_mse + lambda_cont * l_cont

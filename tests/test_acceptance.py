@@ -260,19 +260,14 @@ def test_criterion_4_cfg_identity():
         for run in range(20):
             model = MaskedGridTransformer(cfg, seed=400 + run)
             rng = np.random.default_rng(500 + run)
-            from maskgram.features import ConditioningBundle, FeatureStream
-
-            bundle = ConditioningBundle((
-                FeatureStream("clip", rng.normal(size=(5, 4)), FRAME_SEMANTIC),
-                FeatureStream("s3d", rng.normal(size=(4, 3)), ALIGNMENT_SENSITIVE),
-            ))
+            row = {"clip": rng.normal(size=(5, 4)), "s3d": rng.normal(size=(4, 3))}
             seeds = [derive_seed(600 + run, "cfg-identity")]
             single = sample_batch(
-                model, [bundle], 5,
+                model, [row], 5,
                 SamplerConfig(n_steps=4, gamma=0.0, delta=1.0, seed=0), seeds=seeds,
             )[0]
             double = sample_batch(
-                model, [bundle], 5,
+                model, [row], 5,
                 SamplerConfig(n_steps=4, gamma=0.0, delta=1.0, seed=0,
                               force_two_pass=True), seeds=seeds,
             )[0]
@@ -291,7 +286,7 @@ class _SeededLogitsModel:
         self.config = type("Cfg", (), {"spec": spec})()
         self.cache = {}
 
-    def forward(self, tokens, mask, streams, drop=None):
+    def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         key = (tokens.shape, bool(drop is not None and np.any(drop)))
         if key not in self.cache:
             b, length, levels = tokens.shape
@@ -358,8 +353,8 @@ def _train_toy(rule: str, noise: float, steps: int, seed: int, n_classes: int):
 
 
 def _exact_match_rate(task, model, examples, config: SamplerConfig, seeds):
-    bundles = [bundle_for(e, task) for e in examples]
-    grids = sample_batch(model, bundles, task.length, config, seeds=seeds)
+    rows = [bundle_for(e, task) for e in examples]
+    grids = sample_batch(model, rows, task.length, config, seeds=seeds)
     spec = task.codebook_spec()
     matches = [
         token_match_fraction(g, Codegram(e["tokens"], spec))

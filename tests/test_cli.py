@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from maskgram import cli
 from maskgram.cli import main
-from maskgram.features import save_features
+from maskgram.codegram import Codegram, load_codegram, save_codegram
+from maskgram.features import load_features, save_features
 from maskgram.model import load_checkpoint
 from maskgram.seeding import derive_seed
 
@@ -228,9 +229,9 @@ def test_sample_chunk_rows_per_call(dataset, tmp_path, monkeypatch, beams, threa
     calls = []
     sample_batch = cli.sample_batch
 
-    def spy(model, bundles, *args, **kwargs):
-        calls.append(len(bundles))
-        return sample_batch(model, bundles, *args, **kwargs)
+    def spy(model, rows, *args, **kwargs):
+        calls.append(len(rows))
+        return sample_batch(model, rows, *args, **kwargs)
 
     monkeypatch.setattr(cli, "sample_batch", spy)
     assert run([
@@ -571,6 +572,14 @@ def test_sample_reads_only_the_sampled_example(dataset, tmp_path):
     ("sample", "--temp", "nan"),
     ("sample", "--delta", "nan"),
     ("sample", "--delta", "inf"),
+    ("pipeline", "--gamma", "nan"),
+    ("pipeline", "--temp", "nan"),
+    ("pipeline", "--delta", "inf"),
+    ("train", "--peak-lr", "-1"),
+    ("train", "--floor-lr", "-1"),
+    ("train", "--weight-decay", "-1"),
+    ("train", "--lambda-reg", "-1"),
+    ("train", "--lambda-cont", "nan"),
 ])
 def test_out_of_range_numeric_flag_exits_4(fuzz_dataset, tmp_path, capsys,
                                            command, flag, value):
@@ -581,10 +590,38 @@ def test_out_of_range_numeric_flag_exits_4(fuzz_dataset, tmp_path, capsys,
         "train": ["train", *data],
         "scav": ["train", *data, "--what", "scav"],
         "sample": ["sample", "--ckpt", str(fuzz_dataset / "model.ckpt"), *data],
+        "pipeline": ["pipeline", *gen_args(out)[1:]],
     }[command]
     capsys.readouterr()
     assert run([*argv, flag, value]) == 4
     _assert_one_line_error(capsys, "validation")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix, what, field", [
+    ("clip.emb", "model", "'clip'"),
+    ("s3d.emb", "model", "'s3d'"),
+    ("beats.emb", "model", "'target'"),
+    ("cgram", "model", "'tokens'"),
+    ("clip.emb", "scav", "'video'"),
+    ("cgram", "scav", "'audio'"),
+])
+def test_example_one_frame_longer_exits_4(dataset, tmp_path, capsys, suffix, what, field):
+    path = dataset / f"ex_00003.{suffix}"  # a train-split example
+    if suffix == "cgram":
+        grid = load_codegram(path)
+        save_codegram(Codegram(np.concatenate([grid.tokens, grid.tokens[:1]]), grid.spec),
+                      path)
+    else:
+        matrix, name = load_features(path)
+        save_features(path, np.concatenate([matrix, matrix[:1]]), name)
+    out = tmp_path / "x.ckpt"
+    capsys.readouterr()
+    assert run(["train", "--data", str(dataset), "--out", str(out), "--what", what,
+                "--steps", "2", "--hidden", "16", "--heads", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error (validation): shape mismatch on " + field)
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

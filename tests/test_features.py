@@ -1,4 +1,4 @@
-"""Conditioning streams, nearest-neighbor resampling, feature files."""
+"""Checked row stacking, nearest-neighbor resampling, feature files."""
 
 import numpy as np
 import pytest
@@ -6,30 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskgram.errors import (
+    MissingStreamError,
     ShapeMismatchError,
     TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
 )
 from maskgram.features import (
-    ALIGNMENT_SENSITIVE,
-    FRAME_SEMANTIC,
-    ConditioningBundle,
-    FeatureStream,
     load_features,
     resample_indices,
     resample_nn,
     save_features,
+    stack_rows,
     stack_streams,
 )
 
 
-def bundle(clip_frames=5, clip_dim=4, s3d_frames=3, s3d_dim=6, seed=0):
+def streams(clip_frames=5, clip_dim=4, s3d_frames=3, s3d_dim=6, seed=0):
     rng = np.random.default_rng(seed)
-    return ConditioningBundle((
-        FeatureStream("clip", rng.normal(size=(clip_frames, clip_dim)), FRAME_SEMANTIC),
-        FeatureStream("s3d", rng.normal(size=(s3d_frames, s3d_dim)), ALIGNMENT_SENSITIVE),
-    ))
+    return {
+        "clip": rng.normal(size=(clip_frames, clip_dim)),
+        "s3d": rng.normal(size=(s3d_frames, s3d_dim)),
+    }
 
 
 def test_resample_identity():
@@ -77,13 +75,17 @@ def test_resample_rejects_empty():
         resample_indices(4, 0)
 
 
-def test_stream_validation():
-    with pytest.raises(ValidationError):
-        FeatureStream("x", np.zeros((0, 3)), FRAME_SEMANTIC)
-    with pytest.raises(ValidationError):
-        FeatureStream("x", np.array([[np.nan]]), FRAME_SEMANTIC)
-    with pytest.raises(ValidationError):
-        FeatureStream("x", np.zeros((2, 2)), "other-role")
+def test_stack_rows_rejects_empty_or_non_finite_float_data():
+    for bad in (np.zeros((0, 3)), np.array([[np.nan]]), np.array([[1.0, np.inf]])):
+        with pytest.raises(ValidationError, match="'x'"):
+            stack_rows([{"x": np.ones(bad.shape)}, {"x": bad}], "x")
+    # integer data (token grids) is stacked without the float check
+    assert stack_rows([{"x": np.zeros((0, 2), dtype=np.int32)}], "x").shape == (1, 0, 2)
+
+
+def test_stack_streams_rejects_a_row_without_a_stream():
+    with pytest.raises(MissingStreamError, match="'s3d'"):
+        stack_streams([streams(seed=0), {"clip": streams(seed=1)["clip"]}])
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -113,10 +115,13 @@ def test_feature_file_trailing_byte(tmp_path):
 
 
 def test_stack_streams_shape_check():
-    b1 = bundle(seed=0)
-    b2 = bundle(seed=1)
+    b1 = streams(seed=0)
+    b2 = streams(seed=1)
     stacked = stack_streams([b1, b2])
     assert stacked["clip"].shape == (2, 5, 4)
-    bad = bundle(clip_frames=6, seed=2)
-    with pytest.raises(ShapeMismatchError):
+    assert stacked["clip"].tobytes() == np.stack([b1["clip"], b2["clip"]]).tobytes()
+    bad = streams(clip_frames=6, seed=2)
+    with pytest.raises(ShapeMismatchError, match="'clip'"):
         stack_streams([b1, bad])
+    with pytest.raises(ShapeMismatchError, match="'clip'"):
+        stack_streams([bad, b1])

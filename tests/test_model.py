@@ -385,6 +385,18 @@ def test_checkpoint_roundtrip(tmp_path):
     assert (a.data == b.data).all()
 
 
+def test_checkpoint_config_with_the_retired_target_embed_dim_key_loads(tmp_path):
+    # older checkpoint configs carry "target_embed_dim": null, which from_dict ignores
+    cfg = tiny_config("seq2seq")
+    model = MaskedGridTransformer(cfg, seed=19)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params,
+                    {"model": {**cfg.to_dict(), "target_embed_dim": None}})
+    restored, _ = model_from_checkpoint(path)
+    assert restored.config == cfg
+    assert "target_embed_dim" not in cfg.to_dict()
+
+
 @pytest.mark.parametrize("length", [12, 100, 2000, -8])
 def test_truncated_checkpoint_payload_raises(tmp_path, length):
     cfg = tiny_config("seq2seq")

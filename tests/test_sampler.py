@@ -7,14 +7,8 @@ import pytest
 
 from maskgram import autodiff as ad
 from maskgram.codegram import CodebookSpec
-from maskgram.errors import ShapeMismatchError, ValidationError
-from maskgram.features import (
-    ALIGNMENT_SENSITIVE,
-    FRAME_SEMANTIC,
-    ConditioningBundle,
-    FeatureStream,
-    stack_streams,
-)
+from maskgram.errors import MissingStreamError, ShapeMismatchError, ValidationError
+from maskgram.features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC, stack_streams
 from maskgram.model import MaskedGridTransformer, ModelConfig, StreamSpec
 from maskgram.sampler import (
     SamplerConfig,
@@ -64,7 +58,7 @@ class PairModel:
         self.cond, self.uncond = cond, uncond
         self.config = type("Cfg", (), {"spec": spec})()
 
-    def forward(self, tokens, mask, streams, drop=None):
+    def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         out = type("Out", (), {})()
         out.data = self.cond if drop is None else self.uncond
         return out, None
@@ -143,7 +137,7 @@ class OneHotModel:
         self.forward_calls = 0
         self.config = type("Cfg", (), {"spec": spec})()
 
-    def forward(self, tokens, mask, streams, drop=None):
+    def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         self.forward_calls += 1
         b, length, levels = tokens.shape
         logits = np.full((b, length, levels, self.spec.vocab_size), -50.0)
@@ -167,7 +161,7 @@ class ConstantModel:
         self.forward_calls = 0
         self.config = type("Cfg", (), {"spec": spec})()
 
-    def forward(self, tokens, mask, streams, drop=None):
+    def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         self.forward_calls += 1
         b, length, levels = tokens.shape
 
@@ -296,36 +290,33 @@ def real_model(seed=0, structure="adaln"):
     return MaskedGridTransformer(cfg, seed=seed)
 
 
-def make_bundle(seed=0):
+def make_row(seed=0):
     rng = np.random.default_rng(seed)
-    return ConditioningBundle((
-        FeatureStream("clip", rng.normal(size=(5, 4)), FRAME_SEMANTIC),
-        FeatureStream("s3d", rng.normal(size=(3, 3)), ALIGNMENT_SENSITIVE),
-    ))
+    return {"clip": rng.normal(size=(5, 4)), "s3d": rng.normal(size=(3, 3))}
 
 
-def sample_one(model, bundle, length, config, trace=None):
-    return sample_batch(model, [bundle], length, config,
+def sample_one(model, row, length, config, trace=None):
+    return sample_batch(model, [row], length, config,
                         seeds=[derive_seed(config.seed, "sample", 0)], trace=trace)[0]
 
 
 @pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
 def test_sample_deterministic_given_seed(structure):
     model = real_model(structure=structure)
-    bundle = make_bundle()
+    row = make_row()
     config = SamplerConfig(n_steps=4, gamma=1.0, delta=2.0, seed=42)
-    a = sample_one(model, bundle, 6, config)
-    b = sample_one(model, bundle, 6, config)
+    a = sample_one(model, row, 6, config)
+    b = sample_one(model, row, 6, config)
     np.testing.assert_array_equal(a.tokens, b.tokens)
     assert (a.tokens >= 0).all() and (a.tokens < 10).all()
 
 
 def test_gamma_zero_single_pass_matches_forced_two_pass():
     model = real_model(seed=3)
-    bundle = make_bundle(seed=4)
-    one = sample_one(model, bundle, 6,
+    row = make_row(seed=4)
+    one = sample_one(model, row, 6,
                      SamplerConfig(n_steps=5, gamma=0.0, delta=1.0, seed=9))
-    two = sample_one(model, bundle, 6,
+    two = sample_one(model, row, 6,
                      SamplerConfig(n_steps=5, gamma=0.0, delta=1.0, seed=9,
                                    force_two_pass=True))
     np.testing.assert_array_equal(one.tokens, two.tokens)
@@ -333,9 +324,9 @@ def test_gamma_zero_single_pass_matches_forced_two_pass():
 
 def test_trace_records_steps():
     model = real_model(seed=5)
-    bundle = make_bundle(seed=6)
+    row = make_row(seed=6)
     trace: list[str] = []
-    sample_one(model, bundle, 4, SamplerConfig(n_steps=3, gamma=0.0, delta=0.0, seed=1),
+    sample_one(model, row, 4, SamplerConfig(n_steps=3, gamma=0.0, delta=0.0, seed=1),
                trace=trace)
     assert trace[0] == "step,masked_count,mean_confidence"
     assert len(trace) == 4
@@ -353,13 +344,27 @@ def test_batched_rows_match_single_row_calls(structure, gamma):
     uncached = real_model(seed=7, structure=structure)
     forward = uncached.forward
     uncached.forward = lambda *args, enc_out=None: forward(*args)
-    bundles = [make_bundle(seed=s) for s in (8, 9, 8, 10)]
+    rows = [make_row(seed=s) for s in (8, 9, 8, 10)]
     seeds = [31, 32, 33, 34]
     config = SamplerConfig(n_steps=4, gamma=gamma, delta=2.0, seed=0)
-    batched = sample_batch(model, bundles, 6, config, seeds=seeds)
-    for bundle, seed, grid in zip(bundles, seeds, batched):
-        single = sample_batch(uncached, [bundle], 6, config, seeds=[seed])[0]
+    batched = sample_batch(model, rows, 6, config, seeds=seeds)
+    for row, seed, grid in zip(rows, seeds, batched):
+        single = sample_batch(uncached, [row], 6, config, seeds=[seed])[0]
         assert grid.tokens.tobytes() == single.tokens.tobytes()
+
+
+def test_rows_are_checked_before_sampling():
+    model = real_model(seed=7)
+    config = SamplerConfig(n_steps=2, gamma=0.0, delta=0.0, seed=0)
+    short = {**make_row(seed=1), "clip": np.zeros((4, 4))}
+    with pytest.raises(ShapeMismatchError, match="'clip'"):
+        sample_batch(model, [make_row(seed=0), short], 6, config, seeds=[1, 2])
+    with pytest.raises(MissingStreamError, match="'s3d'"):
+        sample_batch(model, [make_row(seed=0), {"clip": np.zeros((5, 4))}], 6, config,
+                     seeds=[1, 2])
+    with pytest.raises(ValidationError, match="'s3d'"):
+        sample_batch(model, [{**make_row(seed=0), "s3d": np.full((3, 3), np.nan)}], 6,
+                     config, seeds=[1])
 
 
 @pytest.mark.parametrize("gamma, passes", [(0.0, 1), (2.0, 2)])
@@ -369,7 +374,7 @@ def test_encoder_runs_once_per_pass_per_call(gamma, passes, monkeypatch):
     calls = []
     monkeypatch.setattr(model, "_encode", lambda *a: calls.append(1) or encode(*a))
     config = SamplerConfig(n_steps=5, gamma=gamma, delta=1.0, seed=2)
-    sample_batch(model, [make_bundle(seed=s) for s in range(3)], 6, config,
+    sample_batch(model, [make_row(seed=s) for s in range(3)], 6, config,
                  seeds=[1, 2, 3])
     assert len(calls) == passes
     assert model.forward_calls == 5 * passes
@@ -433,7 +438,7 @@ def test_step_matches_per_row_reference(which, gamma, two_pass, temperature, del
     length, n_steps = 6, 8
     if which == "seq2seq":
         model = real_model(seed=12, structure="seq2seq")
-        streams = stack_streams([make_bundle(seed=20 + i) for i in range(batch)])
+        streams = stack_streams([make_row(seed=20 + i) for i in range(batch)])
     else:
         model, streams = ConstantModel(spec_small()), None
     spec = model.config.spec
