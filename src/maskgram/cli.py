@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -136,21 +136,9 @@ def _config_value(path, action: argparse.Action, value):
 
 
 def _task_spec_from_args(args) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(
-        rule=args.rule,
-        length=args.length,
-        levels=args.levels,
-        vocab_size=args.vocab_size,
-        clip_frames=args.clip_frames,
-        clip_dim=args.clip_dim,
-        s3d_frames=args.s3d_frames,
-        s3d_dim=args.s3d_dim,
-        target_frames=args.target_frames,
-        target_dim=args.target_dim,
-        n_classes=args.n_classes,
-        noise_level=args.noise_level,
-        seed=args.seed,
-    )
+    """The task spec of the task flags, whose dests are the spec's field names."""
+    return SyntheticTaskSpec(**{f.name: getattr(args, f.name)
+                                for f in fields(SyntheticTaskSpec)})
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
@@ -219,58 +207,63 @@ def _model_config_from(task: SyntheticTaskSpec, args) -> ModelConfig:
     )
 
 
-def _train_generator(args, task: SyntheticTaskSpec, examples, splits, out,
-                     metrics_log, **train_flags
+def _scav_config_from(task: SyntheticTaskSpec, args, temperature: float) -> ScavConfig:
+    return ScavConfig(
+        n_scav=args.n_scav, h_scav=args.h_scav, video_dim=task.clip_dim,
+        audio_dim=8 * task.levels, width=args.scav_width, temperature=temperature,
+    )
+
+
+def _train_generator(model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int, examples,
+                     splits, out, metrics_log
                      ) -> tuple[MaskedGridTransformer, list[StepResult], float]:
-    """Train the generator seeded from `args.seed`, write its checkpoint and metrics log;
-    returns it, its history and its valid-split (else train-split) masked accuracy."""
-    train_cfg = TrainConfig(**train_flags, seed=derive_seed(args.seed, "train-loop"))
-    model_cfg = _model_config_from(task, args)
-    model = MaskedGridTransformer(model_cfg, seed=derive_seed(args.seed, "model-init"))
-    aux = init_aux_params(model_cfg, derive_seed(args.seed, "aux-init"))
+    """Train the generator (init and eval seeded from `seed`), write its checkpoint and
+    metrics log; returns it, its history and its valid (else train) masked accuracy."""
+    model = MaskedGridTransformer(model_cfg, seed=derive_seed(seed, "model-init"))
+    aux = init_aux_params(model_cfg, derive_seed(seed, "aux-init"))
     train_examples = _examples_for_split(examples, splits, "train")
     log_lines: list[str] = []
     history = train_model(model, aux, train_examples, train_cfg, log_lines)
     if metrics_log:
         Path(metrics_log).write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(out, model.params, {"model": model_cfg.to_dict()}, extra=aux)
+    save_checkpoint(out, model.params, {"model": asdict(model_cfg)}, extra=aux)
     accuracy = evaluate_masked_accuracy(
         model, _examples_for_split(examples, splits, "valid") or train_examples,
-        seed=derive_seed(args.seed, "valid-eval"),
+        seed=derive_seed(seed, "valid-eval"),
     )
     return model, history, accuracy
 
 
-def _train_selector(args, task: SyntheticTaskSpec, examples, splits, out, seed: int,
-                    steps: int, temperature: float) -> tuple[dict, ScavConfig]:
+def _train_selector(scav_cfg: ScavConfig, task: SyntheticTaskSpec, examples, splits, out,
+                    seed: int, steps: int, batch_size: int) -> dict:
     """Train the scav encoder pair on the train split and write its checkpoint."""
-    scav_cfg = ScavConfig(
-        n_scav=args.n_scav, h_scav=args.h_scav, video_dim=task.clip_dim,
-        audio_dim=8 * task.levels, width=args.scav_width, temperature=temperature,
-    )
     pairs = [
         (e["streams"]["clip"], latent_sequence(Codegram(e["tokens"], task.codebook_spec())))
         for e in _examples_for_split(examples, splits, "train")
     ]
-    params = train_scav(pairs, scav_cfg, seed=seed, steps=steps,
-                        batch_size=args.batch_size)
+    params = train_scav(pairs, scav_cfg, seed=seed, steps=steps, batch_size=batch_size)
     save_checkpoint(out, params, {"scav": asdict(scav_cfg)})
-    return params, scav_cfg
+    return params
 
 
 def cmd_train(args) -> int:
     _print_resolved("train", args)
     task, examples, splits = load_dataset(args.data)
     if args.what == "scav":
-        _train_selector(args, task, examples, splits, args.out, seed=args.seed,
-                        steps=args.steps, temperature=args.scav_temperature)
+        scav_cfg = _scav_config_from(task, args, args.scav_temperature)
+        _train_selector(scav_cfg, task, examples, splits, args.out, seed=args.seed,
+                        steps=args.steps, batch_size=args.batch_size)
         print(f"[train] scav checkpoint written to {args.out}")
         return EXIT_OK
-    _, history, acc = _train_generator(
-        args, task, examples, splits, args.out, args.metrics_log,
+    train_cfg = TrainConfig(
         steps=args.steps, batch_size=args.batch_size, peak_lr=args.peak_lr,
         floor_lr=args.floor_lr, warmup=args.warmup, weight_decay=args.weight_decay,
         lambda_reg=args.lambda_reg, lambda_cont=args.lambda_cont,
+        seed=derive_seed(args.seed, "train-loop"),
+    )
+    _, history, acc = _train_generator(
+        _model_config_from(task, args), train_cfg, args.seed, examples, splits, args.out,
+        args.metrics_log,
     )
     print(f"[train] final l_mask={history[-1].loss.l_mask!r} valid_accuracy={acc!r}")
     print(f"[train] checkpoint written to {args.out}")
@@ -440,15 +433,19 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _print_resolved("pipeline", args)
-    _require_positive(args, "beams", "threads", "eval_count", "train_steps", "scav_steps",
-                      "batch_size")
+    _require_positive(args, "beams", "threads", "eval_count", "scav_steps")
+    # every config is built, and so checked, before anything is written
+    spec = _task_spec_from_args(args)
+    model_cfg = _model_config_from(spec, args)
+    train_cfg = TrainConfig(steps=args.train_steps, batch_size=args.batch_size,
+                            warmup=args.warmup, seed=derive_seed(args.seed, "train-loop"))
+    scav_cfg = _scav_config_from(spec, args, ScavConfig.temperature)
     sampler_cfg = SamplerConfig(
         n_steps=args.steps, gamma=args.gamma, delta=args.delta, temperature=args.temp,
         seed=args.seed,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _task_spec_from_args(args)
 
     data_dir = out / "data"
     gen_dataset(spec, args.count, data_dir)
@@ -458,13 +455,13 @@ def cmd_pipeline(args) -> int:
         raise ValidationError("pipeline needs a non-empty test split (count >= 10)")
 
     model, history, valid_accuracy = _train_generator(
-        args, task, examples, splits, out / "model.ckpt", out / "metrics.csv",
-        steps=args.train_steps, batch_size=args.batch_size, warmup=args.warmup,
+        model_cfg, train_cfg, args.seed, examples, splits, out / "model.ckpt",
+        out / "metrics.csv",
     )
-    scav_params, scav_cfg = _train_selector(
-        args, task, examples, splits, out / "scav.ckpt",
+    scav_params = _train_selector(
+        scav_cfg, task, examples, splits, out / "scav.ckpt",
         seed=derive_seed(args.seed, "scav"), steps=args.scav_steps,
-        temperature=ScavConfig.temperature,
+        batch_size=args.batch_size,
     )
 
     eval_count = min(args.eval_count, len(test_examples))

@@ -7,9 +7,11 @@ immutable after construction; all operations here are pure.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +42,6 @@ class CodebookSpec:
 
     levels: int = 9
     vocab_size: int = 1024
-    embed_dim: int = 8
     frame_rate: float = 86.1
 
     def __post_init__(self):
@@ -48,8 +49,6 @@ class CodebookSpec:
             raise ValidationError(f"levels must be >= 1, got {self.levels}")
         if self.vocab_size < 2:
             raise ValidationError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.embed_dim < 1:
-            raise ValidationError(f"embed_dim must be >= 1, got {self.embed_dim}")
 
     @property
     def mask_token(self) -> int:
@@ -207,6 +206,47 @@ def load_json(path, version: int) -> dict:
     if type(found) is not int or found != version:
         raise ValidationError(f"{path}: version must be {version}, got {found!r}")
     return data
+
+
+# keys that older JSON side files hold for config fields since deleted; readers skip them
+RETIRED_KEYS = frozenset({"target_embed_dim", "embed_dim"})
+
+
+def config_from(cls, data, where, name: str):
+    """The config dataclass `cls` built from `data`, the JSON value at `name` in `where`.
+
+    Every field must be present at its declared type: a JSON int passes for a float,
+    `true` for nothing but a bool. Config dataclasses, and tuples of them, nest as
+    objects and lists. A key that is no field is an error unless RETIRED_KEYS holds
+    it. Each error names `where` and the field."""
+    if type(data) is not dict:
+        raise ValidationError(f"{where}: {name} must be a JSON object, got {data!r}")
+    fields = [f.name for f in dataclasses.fields(cls)]
+    odd = sorted(set(fields) ^ (set(data) - RETIRED_KEYS))
+    if odd:
+        kind = "missing" if odd[0] in fields else "unknown"
+        raise ValidationError(f"{where}: {kind} field {name}.{odd[0]}")
+    hints = typing.get_type_hints(cls)
+    values = {key: _json_value(hints[key], data[key], where, f"{name}.{key}")
+              for key in fields}
+    try:
+        return cls(**values)
+    except ValidationError as exc:  # a range check of the config itself
+        raise ValidationError(f"{where}: {name}: {exc}") from exc
+
+
+def _json_value(hint, value, where, name: str):
+    if dataclasses.is_dataclass(hint):
+        return config_from(hint, value, where, name)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...], a JSON list
+        if type(value) is not list:
+            raise ValidationError(f"{where}: {name} must be a JSON list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_json_value(item, v, where, f"{name}[{i}]") for i, v in enumerate(value))
+    if type(value) is not hint and not (hint is float and type(value) is int):
+        raise ValidationError(f"{where}: {name} must be a JSON {hint.__name__}, "
+                              f"got {value!r}")
+    return value
 
 
 def dump_text(codegram: Codegram) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codegram import ByteReader, CodebookSpec, load_json
+from .codegram import ByteReader, CodebookSpec, config_from, load_json
 from .errors import (
     CorruptHeaderError,
     MissingStreamError,
@@ -65,12 +65,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.structure not in STRUCTURES:
             raise ValidationError(f"unknown structure {self.structure!r}")
-        if self.depth < 1:
-            raise ValidationError("depth must be >= 1")
-        if self.heads < 1:
-            raise ValidationError(f"heads must be >= 1, got {self.heads}")
-        if self.hidden < 1:
-            raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
+        for name in ("depth", "heads", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.cond_dropout_prob <= 1:  # a chained comparison, so that nan fails
             raise ValidationError(f"cond_dropout_prob must lie in [0, 1], got "
                                   f"{self.cond_dropout_prob}")
@@ -99,45 +96,6 @@ class ModelConfig:
         if self.structure == "hybrid":
             return tuple(s for s in self.streams if s.role == ALIGNMENT_SENSITIVE)
         return self.streams
-
-    def to_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "spec": {
-                "levels": self.spec.levels,
-                "vocab_size": self.spec.vocab_size,
-                "embed_dim": self.spec.embed_dim,
-                "frame_rate": self.spec.frame_rate,
-            },
-            "streams": [
-                {"name": s.name, "channels": s.channels, "role": s.role}
-                for s in self.streams
-            ],
-            "depth": self.depth,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "encoder_depth": self.encoder_depth,
-            "aux_target_dim": self.aux_target_dim,
-            "cond_dropout_prob": self.cond_dropout_prob,
-            "max_len": self.max_len,
-            "cond_max_len": self.cond_max_len,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            structure=d["structure"],
-            spec=CodebookSpec(**d["spec"]),
-            streams=tuple(StreamSpec(**s) for s in d["streams"]),
-            depth=d["depth"],
-            hidden=d["hidden"],
-            heads=d["heads"],
-            encoder_depth=d["encoder_depth"],
-            aux_target_dim=d["aux_target_dim"],
-            cond_dropout_prob=d["cond_dropout_prob"],
-            max_len=d["max_len"],
-            cond_max_len=d["cond_max_len"],
-        )
 
 
 @dataclass
@@ -503,13 +461,13 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
 
 
 def model_from_checkpoint(path) -> tuple["MaskedGridTransformer", dict[str, Tensor]]:
+    """The generator a checkpoint holds, its config read by `config_from`, and its extra
+    (aux) params; the records must have the names and shapes the config implies."""
     params, extra, meta = load_checkpoint(path)
     if "model" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a model")
-    try:
-        model = MaskedGridTransformer(ModelConfig.from_dict(meta["model"]), seed=0)
-    except (KeyError, TypeError, ValueError) as exc:  # missing or mistyped keys
-        raise ValidationError(f"{path}: malformed model config ({exc!r})") from exc
+    config = config_from(ModelConfig, meta["model"], f"{path}.json", "model")
+    model = MaskedGridTransformer(config, seed=0)
     check_records(path, params, model.params)
     model.params.update(params)
     model.check_finite_params()

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .codegram import config_from
 from .errors import ShapeMismatchError, ValidationError
 from .features import resample_indices, stack_rows
 from .model import check_records, load_checkpoint
@@ -62,16 +63,13 @@ def init_scav_params(config: ScavConfig, seed: int) -> dict[str, Tensor]:
 
 
 def scav_from_checkpoint(path) -> tuple[dict[str, Tensor], ScavConfig]:
-    """A scav checkpoint's params and config, its records checked against the config."""
+    """A scav checkpoint's params and config (read by `config_from`), its records
+    checked against the config."""
     params, _, meta = load_checkpoint(path)
     if "scav" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a scav encoder")
-    try:
-        config = ScavConfig(**meta["scav"])
-        expected = init_scav_params(config, seed=0)
-    except (TypeError, ValueError) as exc:  # missing or mistyped keys
-        raise ValidationError(f"{path}: malformed scav config ({exc})") from exc
-    check_records(path, params, expected)
+    config = config_from(ScavConfig, meta["scav"], f"{path}.json", "scav")
+    check_records(path, params, init_scav_params(config, seed=0))
     return params, config
 
 

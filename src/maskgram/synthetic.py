@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codegram import Codegram, CodebookSpec, load_codegram, load_json, save_codegram
+from .codegram import (Codegram, CodebookSpec, config_from, load_codegram, load_json,
+                       save_codegram)
 from .errors import ValidationError
 from .features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC, load_features, save_features
 from .metrics import EmbeddingSet
@@ -216,18 +217,22 @@ def gen_dataset(spec: SyntheticTaskSpec, count: int, out_dir) -> dict:
 
 
 def load_manifest(path) -> tuple[SyntheticTaskSpec, int, dict[str, list[int]]]:
-    """A dataset's task spec, example count and splits, checked; reads no example."""
+    """A dataset's task spec (read by `config_from`), example count (a JSON int >= 1)
+    and splits (example indices in [0, count)), checked; reads no example."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"{root}: missing manifest.json")
     manifest = load_json(manifest_path, MANIFEST_VERSION)
+    spec = config_from(SyntheticTaskSpec, manifest.get("task"), manifest_path, "task")
+    count = manifest.get("count")
+    if type(count) is not int or count < 1:
+        raise ValidationError(f"{manifest_path}: count must be a JSON int >= 1, got {count!r}")
+    indices = range(count)
     try:
-        spec = SyntheticTaskSpec(**manifest["task"])
-        indices = range(manifest["count"])
         splits = {name: list(manifest["splits"][name]) for name in ("train", "valid", "test")}
-    except (KeyError, TypeError, AttributeError) as exc:  # missing or mistyped keys
-        raise ValidationError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
+    except (KeyError, TypeError) as exc:  # missing or mistyped keys
+        raise ValidationError(f"{manifest_path}: malformed splits ({exc!r})") from exc
     for name, split in splits.items():
         bad = [i for i in split if type(i) is not int or i not in indices]
         if bad:

@@ -173,10 +173,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.warmup < 0:
             raise ValidationError(f"warmup must be >= 0, got {self.warmup}")
         for name in ("peak_lr", "floor_lr", "weight_decay", "lambda_reg", "lambda_cont"):

@@ -175,7 +175,7 @@ def test_criterion_3_gradient_fidelity():
         start = time.time()
         cfg = ModelConfig(
             structure="seq2seq",
-            spec=CodebookSpec(levels=2, vocab_size=8, embed_dim=4),
+            spec=CodebookSpec(levels=2, vocab_size=8),
             streams=(
                 StreamSpec("clip", 4, FRAME_SEMANTIC),
                 StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),
@@ -249,7 +249,7 @@ def test_criterion_4_cfg_identity():
     with criterion(4, "gamma=0 equals conditional-only"):
         cfg = ModelConfig(
             structure="adaln",
-            spec=CodebookSpec(levels=2, vocab_size=12, embed_dim=4),
+            spec=CodebookSpec(levels=2, vocab_size=12),
             streams=(
                 StreamSpec("clip", 4, FRAME_SEMANTIC),
                 StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),
@@ -308,8 +308,7 @@ def test_criterion_5_sampling_contract():
             n_steps = int(rng.integers(1, 9))
             gamma = float(rng.choice([0.0, 1.5]))
             delta = float(rng.choice([0.0, 4.0]))
-            spec = CodebookSpec(levels=levels, vocab_size=int(rng.integers(2, 20)),
-                                embed_dim=2)
+            spec = CodebookSpec(levels=levels, vocab_size=int(rng.integers(2, 20)))
             model = _SeededLogitsModel(spec, seed=trial)
             schedule = build_sample_schedule(length * levels, n_steps)
             config = SamplerConfig(n_steps=n_steps, gamma=gamma, delta=delta,

@@ -114,7 +114,11 @@ def test_config_not_an_object_or_mistyped_exits_4(dataset, tmp_path, capsys, con
     capsys.readouterr()
     code = run(["sample", "--data", str(dataset), "--dump-schedule", "--config", str(cfg)])
     assert code == 4
-    _assert_one_line_error(capsys, "validation")
+    if isinstance(config, dict):  # the message names the flag, else the version
+        named = next((repr(key) for key in config if key != "version"), "version")
+    else:
+        named = "JSON object"
+    _assert_one_line_error(capsys, "validation", named)
 
 
 def train_tiny(dataset, tmp_path, extra=()):
@@ -248,8 +252,7 @@ def test_sample_truncated_checkpoint_exits_3(dataset, tmp_path, capsys):
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error (io):") and err.count("\n") == 1
+    _assert_one_line_error(capsys, "io", "truncated")
 
 
 def test_sample_checkpoint_trailing_byte_exits_3(dataset, tmp_path, capsys):
@@ -259,7 +262,7 @@ def test_sample_checkpoint_trailing_byte_exits_3(dataset, tmp_path, capsys):
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
     assert code == 3
-    _assert_one_line_error(capsys, "io")
+    _assert_one_line_error(capsys, "io", "after the last field")
 
 
 def test_sample_gamma_zero_matches_force_two_pass(dataset, tmp_path):
@@ -318,7 +321,9 @@ def test_select_width_mismatch_exits_4(dataset, tmp_path, capsys, damage):
     code = run(["select", "--scav-checkpoint", str(scav), "--video", str(video),
                 "--candidates", str(candidate)])
     assert code == 4
-    _assert_one_line_error(capsys, "validation")
+    named = {"video-width": "video feature width", "candidate-width": "audio feature width",
+             "config-width": "shape mismatch for video.fc1.w"}[damage]
+    _assert_one_line_error(capsys, "validation", named)
 
 
 def test_pipeline_runs_the_train_stages(tmp_path):
@@ -396,9 +401,11 @@ def test_eval_mixed_path_types_exits_4(dataset, tmp_path):
     assert run(["eval", "--generated", str(dataset), "--reference", str(emb)]) == 4
 
 
-def _assert_one_line_error(capsys, kind: str) -> None:
+def _assert_one_line_error(capsys, kind: str, named: str) -> None:
+    """stderr is one `error (<kind>):` line that names the field, flag or fault."""
     err = capsys.readouterr().err
     assert err.startswith(f"error ({kind}):") and err.count("\n") == 1
+    assert named in err, err
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--beams"])
@@ -409,7 +416,7 @@ def test_sample_nonpositive_count_exits_4(dataset, tmp_path, capsys, flag):
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset), flag, "0",
                 "--out", str(out)])
     assert code == 4
-    _assert_one_line_error(capsys, "validation")
+    _assert_one_line_error(capsys, "validation", flag)
     assert not out.exists()
 
 
@@ -417,7 +424,7 @@ def test_pipeline_zero_threads_exits_4(tmp_path, capsys):
     out = tmp_path / "p"
     argv = gen_args(out, count=40)[1:]
     assert run(["pipeline", *argv, "--threads", "0"]) == 4
-    _assert_one_line_error(capsys, "validation")
+    _assert_one_line_error(capsys, "validation", "--threads")
     assert not out.exists()
 
 
@@ -428,7 +435,7 @@ def test_train_zero_count_exits_4(dataset, tmp_path, capsys, flag, what):
     capsys.readouterr()
     assert run(["train", "--data", str(dataset), "--out", str(ckpt), "--what", what,
                 flag, "0"]) == 4
-    _assert_one_line_error(capsys, "validation")
+    _assert_one_line_error(capsys, "validation", flag[2:].replace("-", "_"))
     assert not ckpt.exists()
 
 
@@ -438,7 +445,9 @@ def test_pipeline_zero_count_exits_4(tmp_path, capsys, flag):
     out = tmp_path / "p"
     argv = gen_args(out, count=40)[1:]
     assert run(["pipeline", *argv, flag, "0"]) == 4
-    _assert_one_line_error(capsys, "validation")
+    # TrainConfig's own check names its fields
+    named = {"--batch-size": "batch_size", "--train-steps": "steps"}.get(flag, flag)
+    _assert_one_line_error(capsys, "validation", named)
     assert not out.exists()
 
 
@@ -449,32 +458,96 @@ def test_checkpoint_config_not_json_exits_3(dataset, tmp_path, capsys):
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
     assert code == 3
-    _assert_one_line_error(capsys, "io")
+    _assert_one_line_error(capsys, "io", "invalid JSON")
 
 
-@pytest.mark.parametrize("damage", ["drop-spec", "string-depth", "list-meta", "zero-heads",
-                                    "version-true", "version-1.0"])
+@pytest.mark.parametrize("damage, named", [
+    pytest.param({"spec": None}, "model.spec", id="drop-spec"),
+    pytest.param({"depth": "one"}, "model.depth", id="string-depth"),
+    pytest.param("list-meta", "JSON object", id="list-meta"),
+    pytest.param({"heads": 0}, "heads must be >= 1", id="zero-heads"),
+    pytest.param("version-true", "version", id="version-true"),
+    pytest.param("version-1.0", "version", id="version-1.0"),
+    pytest.param({"heads": 2.0}, "model.heads", id="float-heads"),
+    pytest.param({"depth": True}, "model.depth", id="bool-depth"),
+    pytest.param({"spec.levels": None}, "model.spec.levels", id="drop-spec-levels"),
+    pytest.param({"streams.0.channels": None}, "model.streams[0].channels",
+                 id="drop-streams-0-channels"),
+    pytest.param({"spec.vocab_size": "16"}, "model.spec.vocab_size", id="string-vocab-size"),
+    pytest.param({"streams": {}}, "model.streams", id="object-streams"),
+    pytest.param({"no_such_key": 1}, "model.no_such_key", id="unknown-key"),
+    pytest.param({"spec.no_such_key": 1}, "model.spec.no_such_key", id="unknown-spec-key"),
+])
 def test_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys,
-                                                           damage):
+                                                           damage, named):
     ckpt = train_tiny(dataset, tmp_path)
     meta_path = tmp_path / "model.ckpt.json"
     meta = json.loads(meta_path.read_text())
     if damage in ("version-true", "version-1.0"):
         meta["version"] = True if damage == "version-true" else 1.0
-    elif damage == "drop-spec":
-        del meta["model"]["spec"]
-    elif damage == "string-depth":
-        meta["model"]["depth"] = "one"
-    elif damage == "zero-heads":
-        meta["model"]["heads"] = 0
-    else:
+    elif damage == "list-meta":
         meta = [meta]
+    else:
+        _damage_keys(meta["model"], damage)
     meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
     assert code == 4
-    _assert_one_line_error(capsys, "validation")
+    _assert_one_line_error(capsys, "validation", named)
+    assert not (tmp_path / "s").exists()
+
+
+def _damage_keys(obj, damage: dict) -> None:
+    """Set each dotted key path of `damage` in the JSON object `obj`; None deletes it."""
+    for path, value in damage.items():
+        *parents, key = path.split(".")
+        target = obj
+        for part in parents:
+            target = target[int(part)] if isinstance(target, list) else target[part]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+
+
+@pytest.mark.parametrize("damage, named", [
+    pytest.param({"n_scav": None}, "scav.n_scav", id="drop-n-scav"),
+    pytest.param({"n_scav": 8.5}, "scav.n_scav", id="float-n-scav"),
+    pytest.param({"temperature": "0.07"}, "scav.temperature", id="string-temperature"),
+    pytest.param({"width": True}, "scav.width", id="bool-width"),
+    pytest.param({"no_such_key": 1}, "scav.no_such_key", id="unknown-key"),
+    pytest.param({"temperature": 0}, "temperature must be finite and > 0",
+                 id="zero-temperature"),
+])
+def test_scav_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys,
+                                                                damage, named):
+    scav = tmp_path / "scav.ckpt"
+    assert run([
+        "train", "--data", str(dataset), "--out", str(scav), "--what", "scav",
+        "--steps", "2", "--batch-size", "8", "--n-scav", "8", "--h-scav", "4",
+        "--scav-width", "8",
+    ]) == 0
+    meta_path = tmp_path / "scav.ckpt.json"
+    meta = json.loads(meta_path.read_text())
+    _damage_keys(meta["scav"], damage)
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    code = run(["select", "--scav-checkpoint", str(scav),
+                "--video", str(dataset / "ex_00010.clip.emb"),
+                "--candidates", str(dataset / "ex_00010.cgram")])
+    assert code == 4
+    _assert_one_line_error(capsys, "validation", named)
+
+
+def test_checkpoint_config_int_for_a_float_field_loads(dataset, tmp_path):
+    ckpt = train_tiny(dataset, tmp_path)
+    meta_path = tmp_path / "model.ckpt.json"
+    meta = json.loads(meta_path.read_text())
+    meta["model"]["cond_dropout_prob"] = 0
+    meta_path.write_text(json.dumps(meta))
+    assert run(["sample", "--ckpt", str(ckpt), "--data", str(dataset), "--steps", "2",
+                "--out", str(tmp_path / "s")]) == 0
 
 
 def test_manifest_not_json_exits_3(dataset, tmp_path, capsys):
@@ -482,27 +555,38 @@ def test_manifest_not_json_exits_3(dataset, tmp_path, capsys):
     capsys.readouterr()
     code = run(["sample", "--data", str(dataset), "--dump-schedule"])
     assert code == 3
-    _assert_one_line_error(capsys, "io")
+    _assert_one_line_error(capsys, "io", "invalid JSON")
 
 
-@pytest.mark.parametrize("damage", ["drop-splits", "string-count", 99, "a", -1, True,
-                                    "version-true", "version-1.0"])
-def test_manifest_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys, damage):
+@pytest.mark.parametrize("damage, named", [
+    pytest.param({"splits": None}, "'splits'", id="drop-splits"),
+    pytest.param({"count": "twelve"}, "count", id="string-count"),
+    # a test split entry that is no example index
+    pytest.param({"splits.test": [99]}, "99", id="99"),
+    pytest.param({"splits.test": ["a"]}, "'a'", id="a"),
+    pytest.param({"splits.test": [-1]}, "-1", id="-1"),
+    pytest.param({"splits.test": [True]}, "True", id="True"),
+    pytest.param({"version": True}, "version", id="version-true"),
+    pytest.param({"version": 1.0}, "version", id="version-1.0"),
+    pytest.param({"count": True}, "count", id="bool-count"),
+    pytest.param({"task": None}, "task", id="drop-task"),
+    pytest.param({"task.length": None}, "task.length", id="drop-task-length"),
+    pytest.param({"task.length": 16.5}, "task.length", id="float-task-length"),
+    pytest.param({"task.length": True}, "task.length", id="bool-task-length"),
+    pytest.param({"task.rule": 3}, "task.rule", id="int-task-rule"),
+    pytest.param({"task.noise_level": "0"}, "task.noise_level", id="string-noise-level"),
+    pytest.param({"task.no_such_key": 1}, "task.no_such_key", id="unknown-task-key"),
+    pytest.param({"task.length": 0}, "length must be >= 1", id="zero-task-length"),
+])
+def test_manifest_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys, damage, named):
     path = dataset / "manifest.json"
     manifest = json.loads(path.read_text())
-    if damage in ("version-true", "version-1.0"):
-        manifest["version"] = True if damage == "version-true" else 1.0
-    elif damage == "drop-splits":
-        del manifest["splits"]
-    elif damage == "string-count":
-        manifest["count"] = "twelve"
-    else:  # a test split entry that is no example index
-        manifest["splits"]["test"] = [damage]
+    _damage_keys(manifest, damage)
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     code = run(["sample", "--data", str(dataset), "--dump-schedule"])
     assert code == 4
-    _assert_one_line_error(capsys, "validation")
+    _assert_one_line_error(capsys, "validation", named)
 
 
 def test_feature_name_not_utf8_exits_3(dataset, capsys):
@@ -512,7 +596,7 @@ def test_feature_name_not_utf8_exits_3(dataset, capsys):
     path.write_bytes(bytes(raw))
     capsys.readouterr()
     assert run(["train", "--data", str(dataset), "--out", str(dataset / "x.ckpt")]) == 3
-    _assert_one_line_error(capsys, "io")
+    _assert_one_line_error(capsys, "io", "not UTF-8")
 
 
 def test_checkpoint_record_name_not_utf8_exits_3(dataset, tmp_path, capsys):
@@ -524,9 +608,7 @@ def test_checkpoint_record_name_not_utf8_exits_3(dataset, tmp_path, capsys):
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error (io):") and err.count("\n") == 1
-    assert "record 0" in err
+    _assert_one_line_error(capsys, "io", "record 0")
 
 
 @pytest.mark.parametrize("damage", ["ndim-65", "duplicate-record"])
@@ -546,7 +628,7 @@ def test_checkpoint_bad_record_exits_3(dataset, tmp_path, capsys, damage):
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
     assert code == 3
-    _assert_one_line_error(capsys, "io")
+    _assert_one_line_error(capsys, "io", "record 0" if damage == "ndim-65" else "'tok.pos'")
 
 
 def test_sample_reads_only_the_sampled_example(dataset, tmp_path):
@@ -575,6 +657,11 @@ def test_sample_reads_only_the_sampled_example(dataset, tmp_path):
     ("pipeline", "--gamma", "nan"),
     ("pipeline", "--temp", "nan"),
     ("pipeline", "--delta", "inf"),
+    ("pipeline", "--hidden", "0"),
+    ("pipeline", "--warmup", "-1"),
+    ("pipeline", "--heads", "5"),  # 5 does not divide the default hidden 96
+    ("pipeline", "--cond-dropout", "2"),
+    ("pipeline", "--n-scav", "0"),
     ("train", "--peak-lr", "-1"),
     ("train", "--floor-lr", "-1"),
     ("train", "--weight-decay", "-1"),
@@ -594,7 +681,9 @@ def test_out_of_range_numeric_flag_exits_4(fuzz_dataset, tmp_path, capsys,
     }[command]
     capsys.readouterr()
     assert run([*argv, flag, value]) == 4
-    _assert_one_line_error(capsys, "validation")
+    # the message names the config field, which is the flag's dest up to a prefix
+    _assert_one_line_error(capsys, "validation",
+                           flag[2:].replace("-", "_").removeprefix("scav_"))
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from maskgram.codegram import (
     Codegram,
     CodebookSpec,
     MaskTensor,
+    config_from,
     dump_text,
     load_codegram,
     save_codegram,
@@ -20,8 +21,8 @@ from maskgram.errors import (
 )
 
 
-def small_spec(levels=2, vocab=8, dim=4):
-    return CodebookSpec(levels=levels, vocab_size=vocab, embed_dim=dim, frame_rate=86.1)
+def small_spec(levels=2, vocab=8):
+    return CodebookSpec(levels=levels, vocab_size=vocab, frame_rate=86.1)
 
 
 def random_codegram(rng, spec, length=6):
@@ -35,7 +36,7 @@ def test_spec_defaults_match_reference_codec():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"levels": 0}, {"vocab_size": 1}, {"embed_dim": 0},
+    {"levels": 0}, {"vocab_size": 1},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValidationError):
@@ -58,7 +59,7 @@ def test_codegram_is_immutable():
 
 
 def test_file_roundtrip(tmp_path):
-    spec = CodebookSpec(levels=3, vocab_size=50, embed_dim=4, frame_rate=86.1)
+    spec = CodebookSpec(levels=3, vocab_size=50, frame_rate=86.1)
     rng = np.random.default_rng(8)
     grid = random_codegram(rng, spec, length=17)
     path = tmp_path / "grid.cgram"
@@ -129,3 +130,28 @@ def test_dump_text_format():
     spec = small_spec()
     grid = Codegram(np.array([[1, 2], [3, 4]]), spec)
     assert dump_text(grid) == "1 2\n3 4\n"
+
+
+def test_config_from_takes_an_int_for_a_float_and_skips_retired_keys():
+    data = {"levels": 2, "vocab_size": 8, "frame_rate": 50, "embed_dim": 8}
+    assert config_from(CodebookSpec, data, "f.json", "spec") == CodebookSpec(2, 8, 50.0)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ({"levels": True}, "f.json: spec.levels must be a JSON int, got True"),
+    ({"levels": 2.0}, "f.json: spec.levels must be a JSON int, got 2.0"),
+    ({"frame_rate": "50"}, "f.json: spec.frame_rate must be a JSON float, got '50'"),
+    ({"frame_rate": None}, "f.json: missing field spec.frame_rate"),
+    ({"extra": 1}, "f.json: unknown field spec.extra"),
+    ({"vocab_size": 1}, "f.json: spec: vocab_size must be >= 2, got 1"),
+])
+def test_config_from_names_the_file_and_field(damage, message):
+    data = {"levels": 2, "vocab_size": 8, "frame_rate": 50.0}
+    for key, value in damage.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with pytest.raises(ValidationError) as exc:
+        config_from(CodebookSpec, data, "f.json", "spec")
+    assert str(exc.value) == message

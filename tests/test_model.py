@@ -1,6 +1,7 @@
 """Model forward contracts: oracle reimplementation, dropout, determinism."""
 
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def tiny_config(structure="adaln", levels=2, vocab=8, hidden=16, depth=1,
                 heads=2, enc_depth=1):
     return ModelConfig(
         structure=structure,
-        spec=CodebookSpec(levels=levels, vocab_size=vocab, embed_dim=4),
+        spec=CodebookSpec(levels=levels, vocab_size=vocab),
         streams=(
             StreamSpec("clip", 4, FRAME_SEMANTIC),
             StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),
@@ -357,7 +358,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ModelConfig(
             structure="seq2seq",
-            spec=CodebookSpec(levels=2, vocab_size=8, embed_dim=4),
+            spec=CodebookSpec(levels=2, vocab_size=8),
             streams=(StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),),
             depth=1, hidden=8, heads=2,
         )
@@ -368,7 +369,7 @@ def test_checkpoint_roundtrip(tmp_path):
     model = MaskedGridTransformer(cfg, seed=19)
     extra = {"aux.proj.w": model.params["enc.cls"]}
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.params, {"model": cfg.to_dict()}, extra=extra)
+    save_checkpoint(path, model.params, {"model": asdict(cfg)}, extra=extra)
     params, loaded_extra, meta = load_checkpoint(path)
     assert set(params) == set(model.params)
     for name in model.params:
@@ -386,15 +387,28 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_config_with_the_retired_target_embed_dim_key_loads(tmp_path):
-    # older checkpoint configs carry "target_embed_dim": null, which from_dict ignores
+    # older checkpoint configs carry "target_embed_dim": null, which the reader skips
     cfg = tiny_config("seq2seq")
     model = MaskedGridTransformer(cfg, seed=19)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.params,
-                    {"model": {**cfg.to_dict(), "target_embed_dim": None}})
+                    {"model": {**asdict(cfg), "target_embed_dim": None}})
     restored, _ = model_from_checkpoint(path)
     assert restored.config == cfg
-    assert "target_embed_dim" not in cfg.to_dict()
+    assert "target_embed_dim" not in asdict(cfg)
+
+
+def test_checkpoint_config_with_the_retired_spec_embed_dim_key_loads(tmp_path):
+    # older checkpoint configs carry "spec": {"embed_dim": 8, ...}, which the reader skips
+    cfg = tiny_config("hybrid")
+    model = MaskedGridTransformer(cfg, seed=19)
+    path = tmp_path / "model.ckpt"
+    meta = asdict(cfg)
+    meta["spec"]["embed_dim"] = 8
+    save_checkpoint(path, model.params, {"model": meta})
+    restored, _ = model_from_checkpoint(path)
+    assert restored.config == cfg
+    assert "embed_dim" not in asdict(cfg)["spec"]
 
 
 @pytest.mark.parametrize("length", [12, 100, 2000, -8])
@@ -402,7 +416,7 @@ def test_truncated_checkpoint_payload_raises(tmp_path, length):
     cfg = tiny_config("seq2seq")
     model = MaskedGridTransformer(cfg, seed=23)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.params, {"model": cfg.to_dict()})
+    save_checkpoint(path, model.params, {"model": asdict(cfg)})
     path.write_bytes(path.read_bytes()[:length])
     with pytest.raises(TruncatedPayloadError):
         load_checkpoint(path)
@@ -412,7 +426,7 @@ def test_checkpoint_trailing_byte_raises(tmp_path):
     cfg = tiny_config("seq2seq")
     model = MaskedGridTransformer(cfg, seed=23)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.params, {"model": cfg.to_dict()})
+    save_checkpoint(path, model.params, {"model": asdict(cfg)})
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(TrailingBytesError):
         load_checkpoint(path)

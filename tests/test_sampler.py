@@ -67,7 +67,7 @@ class PairModel:
 def pair_logits(cond, uncond, **config):
     """`_model_logits` of a fully masked (1, L, 1) grid over these logits."""
     cond, uncond = np.asarray(cond, float), np.asarray(uncond, float)
-    spec = CodebookSpec(levels=1, vocab_size=cond.shape[-1], embed_dim=4)
+    spec = CodebookSpec(levels=1, vocab_size=cond.shape[-1])
     state = init_state(1, cond.shape[0], 1, spec, [0])
     model = PairModel(cond[None, :, None], uncond[None, :, None], spec)
     return _model_logits(model, state, None, SamplerConfig(**config))[0]
@@ -174,7 +174,7 @@ class ConstantModel:
 
 
 def spec_small():
-    return CodebookSpec(levels=3, vocab_size=12, embed_dim=4)
+    return CodebookSpec(levels=3, vocab_size=12)
 
 
 def test_one_hot_model_recovers_target_any_step_count():
@@ -218,7 +218,7 @@ def test_masked_counts_follow_schedule_and_commits_freeze():
 
 
 def test_noop_step_changes_only_counter():
-    spec = CodebookSpec(levels=1, vocab_size=4, embed_dim=2)
+    spec = CodebookSpec(levels=1, vocab_size=4)
     model = ConstantModel(spec)
     # 2 positions, many steps: middle steps have kappa == 0
     schedule = build_sample_schedule(2, 8)
@@ -250,7 +250,7 @@ def test_forward_pass_count_invariant():
 def test_tie_breaking_is_lexicographic():
     # constant model + delta 0 makes all confidences equal: the re-masked set
     # must be the lexicographically first positions
-    spec = CodebookSpec(levels=2, vocab_size=5, embed_dim=2)
+    spec = CodebookSpec(levels=2, vocab_size=5)
     model = ConstantModel(spec)
     length = 4
     schedule = build_sample_schedule(length * 2, 3)
@@ -279,7 +279,7 @@ def test_schedule_state_mismatch_is_error():
 def real_model(seed=0, structure="adaln"):
     cfg = ModelConfig(
         structure=structure,
-        spec=CodebookSpec(levels=2, vocab_size=10, embed_dim=4),
+        spec=CodebookSpec(levels=2, vocab_size=10),
         streams=(
             StreamSpec("clip", 4, FRAME_SEMANTIC),
             StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),

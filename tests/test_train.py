@@ -28,7 +28,7 @@ from maskgram.train import (
 
 
 def spec_and_grid(rng, length=5, levels=3, vocab=8):
-    spec = CodebookSpec(levels=levels, vocab_size=vocab, embed_dim=4)
+    spec = CodebookSpec(levels=levels, vocab_size=vocab)
     grid = Codegram(rng.integers(0, vocab, (length, levels)), spec)
     return spec, grid
 
@@ -52,7 +52,7 @@ def test_masked_ce_empty_mask_is_zero():
 
 def test_masked_ce_uniform_logits_is_log_vocab():
     rng = np.random.default_rng(1)
-    spec = CodebookSpec(levels=1, vocab_size=64, embed_dim=4)
+    spec = CodebookSpec(levels=1, vocab_size=64)
     grid = Codegram(rng.integers(0, 64, (3, 1)), spec)
     flags = np.zeros((3, 1), dtype=bool)
     flags[1, 0] = True
@@ -265,7 +265,7 @@ def test_adamw_zero_lr_keeps_params_bit_exact():
 def tiny_model(structure="seq2seq", seed=0):
     cfg = ModelConfig(
         structure=structure,
-        spec=CodebookSpec(levels=2, vocab_size=8, embed_dim=4),
+        spec=CodebookSpec(levels=2, vocab_size=8),
         streams=(
             StreamSpec("clip", 4, FRAME_SEMANTIC),
             StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),
