@@ -69,7 +69,8 @@ class Tensor:
         return out
 
     def backward(self, seed=None) -> None:
-        """Accumulate gradients of self (a scalar unless `seed` is given)."""
+        """Accumulate gradients of self (a scalar unless `seed` is given) into the
+        leaves of its graph; intermediate tensors keep no `.grad`."""
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -93,7 +94,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # free intermediate grads/graph as we go; leaves keep theirs
+                # free intermediate grads and the graph as we go; only leaves keep grads
+                node.grad = None
                 node._backward = None
                 node._parents = ()
 
@@ -137,16 +139,14 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add `g` to t.grad. `owned` marks a float64 array of t's shape that the
-    calling VJP has just allocated and shares with nothing, so the first
-    gradient is kept as is; views and pass-through arrays are copied."""
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to t.grad. The first gradient is stored as given, which may be a
+    view or an array another tensor holds too, so a stored gradient is never
+    written in place: each later one replaces it with a new sum. For the same
+    reason no VJP writes into the `g` it is handed."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -219,7 +219,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(-g, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -230,9 +230,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -243,10 +243,9 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-                        owned=True)
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -256,7 +255,7 @@ def pow_const(a, exponent: float) -> Tensor:
     out_data = a.data**exponent
 
     def backward(g):
-        _accumulate(a, g * exponent * a.data ** (exponent - 1.0), owned=True)
+        _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -266,7 +265,7 @@ def sqrt(a) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def backward(g):
-        _accumulate(a, g * 0.5 / out_data, owned=True)
+        _accumulate(a, g * 0.5 / out_data)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -276,7 +275,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        _accumulate(a, g * out_data, owned=True)
+        _accumulate(a, g * out_data)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -286,7 +285,7 @@ def log(a) -> Tensor:
     out_data = np.log(a.data)
 
     def backward(g):
-        _accumulate(a, g / a.data, owned=True)
+        _accumulate(a, g / a.data)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -296,7 +295,7 @@ def tanh(a) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - out_data * out_data), owned=True)
+        _accumulate(a, g * (1.0 - out_data * out_data))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -340,7 +339,7 @@ def gelu(a) -> Tensor:
         s *= 0.5
         d += s
         d *= g
-        _accumulate(a, d, owned=True)
+        _accumulate(a, d)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -401,7 +400,7 @@ def _getitem(a: Tensor, key) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[key] += g
-        _accumulate(a, full, owned=True)
+        _accumulate(a, full)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -444,7 +443,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size / max(out_data.size, 1)
 
     def backward(g):
-        _accumulate(a, _restore_axes(g, a.data.shape, axis, keepdims) / count, owned=True)
+        _accumulate(a, _restore_axes(g, a.data.shape, axis, keepdims) / count)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -460,11 +459,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape),
-                        owned=True)
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape),
-                        owned=True)
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -487,11 +484,11 @@ def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape), owned=True)
+            _accumulate(x, (g2 @ weight.data.T).reshape(x.data.shape))
         if weight.requires_grad:
-            _accumulate(weight, x.data.reshape(-1, x.data.shape[-1]).T @ g2, owned=True)
+            _accumulate(weight, x.data.reshape(-1, x.data.shape[-1]).T @ g2)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g2.sum(axis=0), owned=True)
+            _accumulate(bias, g2.sum(axis=0))
 
     return Tensor._make(out_data, parents, backward)
 
@@ -523,7 +520,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - dot), owned=True)
+        _accumulate(a, out_data * (g - dot))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -536,7 +533,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     out_data, soft = out_data.swapaxes(axis, -1), soft.swapaxes(axis, -1)
 
     def backward(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True), owned=True)
+        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -571,14 +568,14 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None,
     def backward(g):
         if gamma is not None:
             reduce_axes = tuple(range(g.ndim - 1))
-            _accumulate(gamma, (g * xhat).sum(axis=reduce_axes), owned=True)
-            _accumulate(beta, g.sum(axis=reduce_axes), owned=True)
+            _accumulate(gamma, (g * xhat).sum(axis=reduce_axes))
+            _accumulate(beta, g.sum(axis=reduce_axes))
             dxhat = g * gamma.data
         else:
             dxhat = g
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (dxhat - m1 - xhat * m2), owned=True)
+        _accumulate(x, inv * (dxhat - m1 - xhat * m2))
 
     return Tensor._make(out_data, parents, backward)
 
@@ -603,7 +600,7 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
         if table.requires_grad:
             rows, width = table.data.shape
             full = _scatter_rows(idx.ravel(), g.reshape(-1, width), rows)
-            _accumulate(table, full, owned=True)
+            _accumulate(table, full)
 
     return Tensor._make(out_data, (table,), backward)
 
@@ -617,8 +614,7 @@ def index_select(a: Tensor, axis: int, idx: np.ndarray) -> Tensor:
         if a.requires_grad:
             moved = np.moveaxis(g, axis, 0)
             full = _scatter_rows(idx, moved.reshape(idx.size, -1), a.data.shape[axis])
-            _accumulate(a, np.moveaxis(full.reshape((-1,) + moved.shape[1:]), 0, axis),
-                        owned=True)
+            _accumulate(a, np.moveaxis(full.reshape((-1,) + moved.shape[1:]), 0, axis))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -632,7 +628,7 @@ def take_along_last(a: Tensor, idx: np.ndarray) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-            _accumulate(a, full, owned=True)
+            _accumulate(a, full)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -645,9 +641,9 @@ def where(cond: np.ndarray, a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(np.where(cond, g, 0.0), a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(np.where(cond, 0.0, g), b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 

@@ -251,8 +251,9 @@ def cmd_train(args) -> int:
     task, examples, splits = load_dataset(args.data)
     if args.what == "scav":
         scav_cfg = _scav_config_from(task, args, args.scav_temperature)
-        _train_selector(scav_cfg, task, examples, splits, args.out, seed=args.seed,
-                        steps=args.steps, batch_size=args.batch_size)
+        _train_selector(scav_cfg, task, examples, splits, args.out,
+                        seed=derive_seed(args.seed, "scav"), steps=args.steps,
+                        batch_size=args.batch_size)
         print(f"[train] scav checkpoint written to {args.out}")
         return EXIT_OK
     train_cfg = TrainConfig(
@@ -316,7 +317,7 @@ def cmd_sample(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace: list[str] | None = [] if args.trace else None
-    seeds = [derive_seed(args.seed, "sample", args.index, b) for b in range(args.beams)]
+    seeds = [derive_seed(args.seed, "sample", split[args.index], b) for b in range(args.beams)]
     grids = _sample_rows(model, [row] * args.beams, seeds, task.length, config,
                          args.threads, trace)
     if trace is not None:

@@ -262,45 +262,38 @@ class MaskedGridTransformer:
 
     # -- conditioning assembly ------------------------------------------------
 
-    def _stream_tensor(self, spec: StreamSpec, streams, drop) -> tuple[Tensor, int]:
-        """Stream content as a (B, N, C) tensor with [NULL] substitution."""
-        null = ad.reshape(self.params[f"null.{spec.name}"], (1, 1, spec.channels))
+    def _stream_tensor(self, spec: StreamSpec, streams, drop: np.ndarray) -> Tensor:
+        """Stream content as a (B, N, C) tensor, B = len(drop); rows flagged in
+        `drop` read [NULL]."""
         if streams is None or spec.name not in streams:
-            b = 1 if drop is None else drop.shape[0]
-            return ad.broadcast_to(null, (b, 1, spec.channels)), 1
+            raise MissingStreamError(f"stream {spec.name!r} is missing")
         data = np.asarray(streams[spec.name], dtype=np.float64)
-        if data.ndim != 3 or data.shape[2] != spec.channels:
+        if data.ndim != 3 or data.shape[0] != drop.size or data.shape[2] != spec.channels:
             raise ShapeMismatchError(
-                f"stream {spec.name!r} channels", spec.channels, data.shape
+                f"stream {spec.name!r}", f"({drop.size}, N, {spec.channels})", data.shape
             )
         base = Tensor(data)
-        if drop is None or not drop.any():
-            return base, data.shape[1]
-        keep = ~drop[:, None, None]
-        return ad.where(keep, base, null), data.shape[1]
+        if not drop.any():
+            return base
+        null = ad.reshape(self.params[f"null.{spec.name}"], (1, 1, spec.channels))
+        return ad.where(~drop[:, None, None], base, null)
 
-    def _assemble(self, specs, streams, drop, target_len=None):
-        """Concat streams channel-wise, resampling to a common length."""
+    def _assemble(self, specs, streams, drop, target_len=None) -> Tensor:
+        """Concat streams channel-wise, resampled to `target_len` (else the first
+        stream's length)."""
+        tensors = [self._stream_tensor(spec, streams, drop) for spec in specs]
+        anchor = target_len if target_len is not None else tensors[0].shape[1]
         parts = []
-        lengths = []
-        tensors = []
-        for spec in specs:
-            t, n = self._stream_tensor(spec, streams, drop)
-            tensors.append(t)
-            lengths.append(n)
-        anchor = target_len if target_len is not None else lengths[0]
-        for t, n in zip(tensors, lengths):
-            if n != anchor:
-                t = ad.index_select(t, 1, resample_indices(n, anchor))
+        for t in tensors:
+            if t.shape[1] != anchor:
+                t = ad.index_select(t, 1, resample_indices(t.shape[1], anchor))
             parts.append(t)
-        return ad.concat(parts, axis=-1), anchor
+        return ad.concat(parts, axis=-1)
 
-    def _encode(self, streams, drop, batch: int) -> EncoderOutput:
+    def _encode(self, streams, drop) -> EncoderOutput:
         cfg = self.config
-        cond, n_c = self._assemble(cfg.encoder_streams(), streams, drop)
-        x = self._lin("enc.in", cond)
-        if x.shape[0] != batch:
-            x = ad.broadcast_to(x, (batch,) + x.shape[1:])
+        x = self._lin("enc.in", self._assemble(cfg.encoder_streams(), streams, drop))
+        batch = x.shape[0]
         cls = ad.broadcast_to(
             ad.reshape(self.params["enc.cls"], (1, 1, cfg.hidden)),
             (batch, 1, cfg.hidden),
@@ -330,7 +323,7 @@ class MaskedGridTransformer:
         self,
         tokens: np.ndarray,
         mask: np.ndarray,
-        streams: dict[str, np.ndarray] | None,
+        streams: dict[str, np.ndarray],
         drop: np.ndarray | None = None,
         enc_out: EncoderOutput | None = None,
     ) -> tuple[Tensor, EncoderOutput | None]:
@@ -338,7 +331,7 @@ class MaskedGridTransformer:
 
         tokens: (B, L, K) ints in [0, D); mask: (B, L, K) bools, True = masked
         (those positions read the MASK embedding regardless of token value);
-        streams: name -> (B, N, C) arrays, or None for unconditional mode;
+        streams: name -> (B, N, C) arrays, one for every declared stream;
         drop: per-example flags replacing stream content with [NULL];
         enc_out: an encoder output returned earlier for the same streams and
         drop flags, which is reused instead of running the encoder again.
@@ -356,10 +349,9 @@ class MaskedGridTransformer:
         b, length, levels = tokens.shape
         if length > cfg.max_len:
             raise ValidationError(f"sequence length {length} exceeds max_len {cfg.max_len}")
-        if drop is not None:
-            drop = np.asarray(drop, dtype=bool)
-            if drop.shape != (b,):
-                raise ShapeMismatchError("drop flags", (b,), drop.shape)
+        drop = np.zeros(b, dtype=bool) if drop is None else np.asarray(drop, dtype=bool)
+        if drop.shape != (b,):
+            raise ShapeMismatchError("drop flags", (b,), drop.shape)
 
         ids = np.where(mask, cfg.spec.mask_token, tokens)
         x = None
@@ -373,14 +365,12 @@ class MaskedGridTransformer:
         self._check_finite(x, "token embedding")
 
         if cfg.uses_encoder and enc_out is None:
-            enc_out = self._encode(streams, drop, b)
+            enc_out = self._encode(streams, drop)
         enc_seq = enc_out.sequence if enc_out is not None else None
         cond = None
         if cfg.structure in ("adaln", "hybrid"):
-            raw, _ = self._assemble(cfg.adaln_streams(), streams, drop, target_len=length)
+            raw = self._assemble(cfg.adaln_streams(), streams, drop, target_len=length)
             cond = self._lin("ada.in2", ad.gelu(self._lin("ada.in1", raw)))
-            if cond.shape[0] != b:
-                cond = ad.broadcast_to(cond, (b,) + cond.shape[1:])
 
         for i in range(cfg.depth):
             if cfg.structure == "adaln":
@@ -476,10 +466,11 @@ def model_from_checkpoint(path) -> tuple["MaskedGridTransformer", dict[str, Tens
 
 def check_records(path, params: dict[str, Tensor], expected: dict[str, Tensor]) -> None:
     """Raise unless the checkpoint's records have exactly the expected names and shapes."""
-    missing = set(expected) ^ set(params)
+    missing = sorted(set(expected) ^ set(params))
     if missing:
-        raise ValidationError(f"{path}: checkpoint/config parameter mismatch: "
-                              f"{sorted(missing)}")
+        more = ", ..." if len(missing) > 5 else ""
+        raise ValidationError(f"{path}: checkpoint/config parameter mismatch in "
+                              f"{len(missing)} names: {', '.join(missing[:5])}{more}")
     for name, tensor in params.items():
         if expected[name].data.shape != tensor.data.shape:
             raise ValidationError(f"{path}: checkpoint shape mismatch for {name}")

@@ -1,9 +1,9 @@
 """Iterative parallel decoding from a fully masked grid.
 
 The conditioning is one stream dict per row, name -> (N, C), stacked into the
-batch by `features.stack_streams`; `None` samples unconditionally. Each step:
-run the model conditionally (and unconditionally when guidance is on) over the
-whole grid, then keep only the still-masked positions. At those positions
+batch by `features.stack_streams`. Each step: run the model conditionally
+(and unconditionally, every stream [NULL], when guidance is on) over the whole
+grid, then keep only the still-masked positions. At those positions
 combine logits as (1+gamma)*cond - gamma*uncond. Under guidance
 (gamma > 0) the contrast is taken only over the conditional's plausible
 tokens, those with probability at least 0.1 times the conditional maximum;
@@ -206,21 +206,17 @@ def sample_step(
 
 def sample_batch(
     model: MaskedGridTransformer,
-    rows: list[dict[str, np.ndarray]] | None,
+    rows: list[dict[str, np.ndarray]],
     length: int,
     config: SamplerConfig,
     seeds: list[int] | None = None,
     trace: list[str] | None = None,
 ) -> list[Codegram]:
     """Run the full schedule for a batch of independent rows, each given by its
-    stream dict (or all unconditional when `rows` is None); `trace` follows row 0."""
+    stream dict; `trace` follows row 0."""
     spec = model.config.spec
-    if rows is not None:
-        streams = stack_streams(rows)
-        batch = len(rows)
-    else:
-        streams = None
-        batch = 1 if seeds is None else len(seeds)
+    streams = stack_streams(rows)
+    batch = len(rows)
     if seeds is None:
         seeds = [derive_seed(config.seed, "sample", i) for i in range(batch)]
     if len(seeds) != batch:

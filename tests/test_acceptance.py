@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The heavy end-to-end
 criteria (6, 7) train real models on synthetic tasks and dominate runtime;
-stated budgets are asserted.
+stated budgets are asserted. Both carry the `slow` marker, so
+`pytest -m "not slow"` runs everything else.
 """
 
 import contextlib
@@ -10,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from maskgram import autodiff as ad
 from maskgram.autodiff import Tensor
@@ -362,6 +364,7 @@ def _exact_match_rate(task, model, examples, config: SamplerConfig, seeds):
     return float(np.mean([m == 1.0 for m in matches]))
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_toy_reproduction():
     with criterion(6, "deterministic-map end-to-end"):
         start = time.time()
@@ -382,6 +385,7 @@ def test_criterion_6_end_to_end_toy_reproduction():
         assert elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_7_guidance_and_steps_directional():
     with criterion(7, "guidance/step-count directional behavior"):
         task, model, held = _train_toy("noisy-map", 0.1, steps=1800, seed=13,

@@ -116,7 +116,8 @@ def test_linear_grads_on_3d_input_used_twice(with_bias):
 @pytest.mark.parametrize("swap", [False, True])
 def test_pass_through_grads_are_copied(swap):
     # add hands one array to both parents and tsum a read-only broadcast view;
-    # each parent needs its own writable gradient, whichever VJP runs first
+    # both are stored as given, so each parent's gradient stays right only if
+    # a later contribution makes a new sum, whichever VJP runs first
     rng = np.random.default_rng(16)
     w1, w2 = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
@@ -125,6 +126,94 @@ def test_pass_through_grads_are_copied(swap):
     (second + first if swap else first + second).backward()
     np.testing.assert_allclose(x.grad, w1 + w2, rtol=1e-15, atol=1e-15)
     np.testing.assert_allclose(y.grad, w1 + 1.0, rtol=1e-15, atol=1e-15)
+
+
+# each op as (number of (2, 3) inputs, function of them); inputs are positive
+OPS = {
+    "add": (2, lambda a, b: a + b),
+    "sub": (2, lambda a, b: a - b),
+    "mul": (2, lambda a, b: a * b),
+    "div": (2, lambda a, b: a / b),
+    "pow_const": (1, lambda a: ad.pow_const(a, 3.0)),
+    "sqrt": (1, ad.sqrt),
+    "exp": (1, ad.exp),
+    "log": (1, ad.log),
+    "tanh": (1, ad.tanh),
+    "gelu": (1, ad.gelu),
+    "reshape": (1, lambda a: ad.reshape(a, (3, 2))),
+    "transpose": (1, lambda a: ad.transpose(a, (1, 0))),
+    "swapaxes": (1, lambda a: ad.swapaxes(a, 0, 1)),
+    "concat": (2, lambda a, b: ad.concat([a, b, a], axis=-1)),
+    "getitem": (1, lambda a: a[:, 1:]),
+    "broadcast_to": (1, lambda a: ad.broadcast_to(a, (4, 2, 3))),
+    "tsum": (1, lambda a: ad.tsum(a, axis=0)),
+    "tmean": (1, lambda a: ad.tmean(a, axis=1, keepdims=True)),
+    "matmul": (2, lambda a, b: ad.matmul(a, ad.swapaxes(b, 0, 1))),
+    "linear": (2, lambda a, b: ad.linear(a, ad.swapaxes(b, 0, 1), a[0, :2])),
+    "softmax": (1, lambda a: ad.softmax(a, axis=0)),
+    "log_softmax": (1, ad.log_softmax),
+    "layer_norm": (1, ad.layer_norm),
+    "layer_norm_affine": (2, lambda a, b: ad.layer_norm(a, b[0], b[1])),
+    "embedding": (1, lambda a: ad.embedding(a, np.array([[1, 0], [1, 1]]))),
+    "index_select": (1, lambda a: ad.index_select(a, 1, np.array([2, 0, 2]))),
+    "take_along_last": (1, lambda a: ad.take_along_last(a, np.array([2, 2]))),
+    "where": (2, lambda a, b: ad.where(np.array([[True, False, True]]), a, b)),
+    "l2_normalize": (1, ad.l2_normalize),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_backward_reads_a_read_only_seed(name):
+    # no VJP writes into the gradient it is handed, nor into a stored one
+    n_inputs, op = OPS[name]
+    rng = np.random.default_rng(18)
+    leaves = [Tensor(rng.uniform(0.5, 2.0, (2, 3)), requires_grad=True)
+              for _ in range(n_inputs)]
+    out = op(*leaves)
+    seed = rng.normal(size=out.shape)
+    kept = seed.copy()
+    seed.flags.writeable = False
+    out.backward(seed)
+    assert seed.tobytes() == kept.tobytes()
+    for leaf in leaves:
+        assert leaf.grad.shape == leaf.shape and np.isfinite(leaf.grad).all()
+
+
+@pytest.mark.parametrize("fan_out", ["add", "tsum"])
+def test_second_contribution_to_a_pass_through_grad(fan_out):
+    # x's first gradient is a view (of the read-only seed, or a broadcast of
+    # ones); the second contribution must leave it, and the seed, untouched
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    if fan_out == "add":
+        out = ad.concat([x + y, x * 2.0], axis=-1)
+        seed = rng.normal(size=(2, 6))
+        want_x, want_y = seed[:, :3] + 2.0 * seed[:, 3:], seed[:, :3]
+    else:
+        out = ad.tsum(x) + ad.tsum(x * y)
+        seed = np.array(1.5)
+        want_x, want_y = 1.5 * (1.0 + y.data), 1.5 * x.data
+    kept = seed.copy()
+    seed.flags.writeable = False
+    out.backward(seed)
+    np.testing.assert_allclose(x.grad, want_x, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(y.grad, want_y, rtol=1e-15, atol=1e-15)
+    assert seed.tobytes() == kept.tobytes()
+
+
+def test_only_leaves_keep_grads():
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h = x * w
+    t = ad.tanh(h)
+    out = ad.tsum(t)
+    out.backward()
+    assert h.grad is None and t.grad is None and out.grad is None
+    d = 1.0 - np.tanh(x.data * w.data) ** 2
+    np.testing.assert_allclose(x.grad, d * w.data, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(w.grad, d * x.data, rtol=1e-15, atol=1e-15)
 
 
 def test_linear_grads_add_onto_existing_grads():

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from maskgram import cli
 from maskgram.cli import main
-from maskgram.codegram import Codegram, load_codegram, save_codegram
+from maskgram.codegram import Codegram, config_from, load_codegram, save_codegram
 from maskgram.features import load_features, save_features
-from maskgram.model import load_checkpoint
-from maskgram.seeding import derive_seed
+from maskgram.model import MaskedGridTransformer, ModelConfig, load_checkpoint
 
 
 def run(argv):
@@ -340,10 +339,17 @@ def test_pipeline_runs_the_train_stages(tmp_path):
                 "--metrics-log", str(tmp_path / "metrics.csv")]) == 0
     assert run(["train", "--what", "scav", "--data", data,
                 "--out", str(tmp_path / "scav.ckpt"), *flags, "--steps", "3",
-                "--seed", str(derive_seed(3, "scav"))]) == 0
+                "--seed", "3"]) == 0
     for name in ("model.ckpt", "model.ckpt.json", "metrics.csv", "scav.ckpt",
                  "scav.ckpt.json"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    # sample seeds its beams as pipeline does, so the chosen grid is one of them
+    samples = tmp_path / "samples"
+    assert run(["sample", "--ckpt", str(out / "model.ckpt"), "--data", data,
+                "--split", "test", "--index", "0", "--beams", "2", "--steps", "2",
+                "--gamma", "0", "--delta", "0", "--seed", "3", "--out", str(samples)]) == 0
+    chosen = (out / "chosen" / "chosen_00000.cgram").read_bytes()
+    assert chosen in [p.read_bytes() for p in sorted(samples.glob("beam_*.cgram"))]
 
 
 def test_eval_identical_embedding_sets(tmp_path, capsys):
@@ -538,6 +544,25 @@ def test_scav_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_pat
                 "--candidates", str(dataset / "ex_00010.cgram")])
     assert code == 4
     _assert_one_line_error(capsys, "validation", named)
+
+
+def test_checkpoint_deeper_than_its_records_exits_4_in_one_short_line(dataset, tmp_path,
+                                                                      capsys):
+    ckpt = train_tiny(dataset, tmp_path)
+    meta_path = tmp_path / "model.ckpt.json"
+    meta = json.loads(meta_path.read_text())
+    meta["model"]["depth"] = 30
+    meta_path.write_text(json.dumps(meta))
+    deeper = MaskedGridTransformer(config_from(ModelConfig, meta["model"], "", "model"))
+    extra = len(set(deeper.params) - set(load_checkpoint(ckpt)[0]))
+    capsys.readouterr()
+    code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error (validation):") and err.count("\n") == 1
+    assert f"parameter mismatch in {extra} names: " in err and extra > 5
+    assert len(err) < 300, err
 
 
 def test_checkpoint_config_int_for_a_float_field_loads(dataset, tmp_path):

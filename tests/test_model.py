@@ -10,7 +10,9 @@ from maskgram import autodiff as ad
 from maskgram.codegram import CodebookSpec
 from maskgram.errors import (
     CorruptHeaderError,
+    MissingStreamError,
     NonFiniteError,
+    ShapeMismatchError,
     TrailingBytesError,
     TruncatedPayloadError,
     ValidationError,
@@ -298,16 +300,29 @@ def test_batch_permutation_permutes_outputs():
     np.testing.assert_allclose(permuted.data, out.data[perm], atol=1e-12)
 
 
-def test_unconditional_mode_uses_null_streams():
-    cfg = tiny_config("adaln")
+@pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
+@pytest.mark.parametrize("missing", [None, "clip", "s3d"])
+def test_missing_streams_are_an_error(structure, missing):
+    # [NULL] conditioning comes only from drop flags, never from absent streams
+    cfg = tiny_config(structure)
     model = MaskedGridTransformer(cfg, seed=14)
-    rng = np.random.default_rng(15)
-    tokens, mask, streams = rand_inputs(cfg, rng)
-    with ad.no_grad():
-        null_out, _ = model.forward(tokens, mask, None)
-        dropped, _ = model.forward(tokens, mask, streams, np.ones(2, dtype=bool))
-    # adaln resamples any-length NULL broadcast to L, so both agree exactly
-    np.testing.assert_allclose(null_out.data, dropped.data, atol=1e-12)
+    tokens, mask, streams = rand_inputs(cfg, np.random.default_rng(15))
+    if missing is None:
+        streams = None
+    else:
+        del streams[missing]
+    with ad.no_grad(), pytest.raises(MissingStreamError):
+        model.forward(tokens, mask, streams, np.ones(2, dtype=bool))
+
+
+@pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
+def test_stream_rows_must_match_the_token_batch(structure):
+    cfg = tiny_config(structure)
+    model = MaskedGridTransformer(cfg, seed=14)
+    tokens, mask, streams = rand_inputs(cfg, np.random.default_rng(15))
+    streams["s3d"] = streams["s3d"][:1]
+    with ad.no_grad(), pytest.raises(ShapeMismatchError, match="stream 's3d'"):
+        model.forward(tokens, mask, streams)
 
 
 def test_logits_finite_across_random_tiny_configs():

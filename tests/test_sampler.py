@@ -177,6 +177,10 @@ def spec_small():
     return CodebookSpec(levels=3, vocab_size=12)
 
 
+# one row of conditioning for the stand-in models above, which ignore it
+ONE_ROW = [{"clip": np.zeros((2, 4))}]
+
+
 def test_one_hot_model_recovers_target_any_step_count():
     spec = spec_small()
     rng = np.random.default_rng(6)
@@ -184,7 +188,7 @@ def test_one_hot_model_recovers_target_any_step_count():
     model = OneHotModel(target, spec)
     for n_steps in (1, 2, 5, 9):
         config = SamplerConfig(n_steps=n_steps, gamma=0.0, delta=0.0, seed=7)
-        grid = sample_batch(model, None, 6, config, seeds=[11])[0]
+        grid = sample_batch(model, ONE_ROW, 6, config, seeds=[11])[0]
         np.testing.assert_array_equal(grid.tokens, target)
 
 
@@ -192,7 +196,7 @@ def test_single_step_commits_everything():
     spec = spec_small()
     model = ConstantModel(spec)
     config = SamplerConfig(n_steps=1, gamma=0.0, delta=0.0, seed=1)
-    grid = sample_batch(model, None, 4, config, seeds=[3])[0]
+    grid = sample_batch(model, ONE_ROW, 4, config, seeds=[3])[0]
     assert grid.tokens.shape == (4, 3)
     assert (grid.tokens >= 0).all() and (grid.tokens < 12).all()
 
@@ -243,7 +247,7 @@ def test_forward_pass_count_invariant():
     for gamma, expected_factor in ((0.0, 1), (2.0, 2)):
         model = ConstantModel(spec)
         config = SamplerConfig(n_steps=7, gamma=gamma, delta=0.0, seed=4)
-        sample_batch(model, None, 4, config, seeds=[9])
+        sample_batch(model, ONE_ROW, 4, config, seeds=[9])
         assert model.forward_calls == 7 * expected_factor
 
 
