@@ -303,7 +303,7 @@ def cmd_sample(args) -> int:
             return EXIT_OK
     if args.ckpt is None:
         raise ValidationError("--ckpt is required unless only dumping the schedule")
-    model, _ = model_from_checkpoint(args.ckpt)
+    model = model_from_checkpoint(args.ckpt)
     split = splits[args.split]
     if not 0 <= args.index < len(split):
         raise ValidationError(

@@ -35,8 +35,9 @@ from .features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC, resample_indices
 
 STRUCTURES = ("adaln", "seq2seq", "hybrid")
 
-# modulation chunk order within the per-block 6H projection
+# the per-block 6H modulation's chunks in order, and their start: blocks begin unmodulated
 _MOD_FIELDS = ("shift_attn", "scale_attn", "gate_attn", "shift_mlp", "scale_mlp", "gate_mlp")
+_MOD_START = tuple(float(fld.startswith(("scale", "gate"))) for fld in _MOD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.structure not in STRUCTURES:
             raise ValidationError(f"unknown structure {self.structure!r}")
-        for name in ("depth", "heads", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("depth", 1), ("heads", 1), ("hidden", 1), ("max_len", 1),
+                          ("cond_max_len", 1), ("encoder_depth", 0), ("aux_target_dim", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 <= self.cond_dropout_prob <= 1:  # a chained comparison, so that nan fails
             raise ValidationError(f"cond_dropout_prob must lie in [0, 1], got "
                                   f"{self.cond_dropout_prob}")
@@ -106,93 +108,104 @@ class EncoderOutput:
     sequence: Tensor
 
 
+# -- parameter layout ------------------------------------------------------------
+
+# name -> (shape, init) in draw order: the one declaration of a trainable set. An init
+# is ("uniform", bound), ("normal", std) or ("fill", value), where a tuple value fills
+# equal chunks of the last axis in turn.
+Layout = dict[str, tuple[tuple[int, ...], tuple[str, object]]]
+
+
+def linear_layout(name: str, n_in: int, n_out: int) -> Layout:
+    return {f"{name}.w": ((n_in, n_out), ("uniform", 1.0 / np.sqrt(n_in))),
+            f"{name}.b": ((n_out,), ("fill", 0.0))}
+
+
+def param_layout(cfg: ModelConfig) -> Layout:
+    """Every generator parameter's shape and init, in the order they are drawn."""
+    h, d = cfg.hidden, cfg.spec.vocab_size
+    layout: Layout = {}
+
+    def norm(name: str) -> None:
+        layout[f"{name}.g"] = ((h,), ("fill", 1.0))
+        layout[f"{name}.b"] = ((h,), ("fill", 0.0))
+
+    def attn(name: str) -> None:
+        for part in ("q", "k", "v", "o"):
+            layout.update(linear_layout(f"{name}.{part}", h, h))
+
+    def mlp(name: str) -> None:
+        layout.update({**linear_layout(f"{name}.fc1", h, 4 * h),
+                       **linear_layout(f"{name}.fc2", 4 * h, h)})
+
+    def modulation(name: str) -> None:
+        layout.update({f"{name}.w": ((h, 6 * h), ("fill", 0.0)),
+                       f"{name}.b": ((6 * h,), ("fill", _MOD_START))})
+
+    for k in range(cfg.spec.levels):
+        layout[f"tok.{k}.table"] = ((d, h), ("uniform", 1.0 / np.sqrt(h)))
+        layout[f"tok.{k}.mask"] = ((1, h), ("uniform", 1.0 / np.sqrt(h)))
+    layout["tok.pos"] = ((cfg.max_len, h), ("normal", 0.02))
+    for s in cfg.streams:
+        layout[f"null.{s.name}"] = ((1, s.channels), ("normal", 0.02))
+    if cfg.structure in ("adaln", "hybrid"):
+        ada_width = sum(s.channels for s in cfg.adaln_streams())
+        layout.update(linear_layout("ada.in1", ada_width, h))
+        layout.update(linear_layout("ada.in2", h, h))
+    if cfg.uses_encoder:
+        enc_width = sum(s.channels for s in cfg.encoder_streams())
+        layout.update(linear_layout("enc.in", enc_width, h))
+        layout["enc.cls"] = ((1, h), ("normal", 0.02))
+        layout["enc.pos"] = ((cfg.cond_max_len, h), ("normal", 0.02))
+        for j in range(cfg.encoder_depth):
+            norm(f"enc.{j}.norm1")
+            attn(f"enc.{j}.attn")
+            norm(f"enc.{j}.norm2")
+            mlp(f"enc.{j}.mlp")
+        norm("enc.norm")
+    for i in range(cfg.depth):
+        attn(f"blk.{i}.attn")
+        mlp(f"blk.{i}.mlp")
+        if cfg.structure == "seq2seq":
+            for part in ("norm1", "norm2", "norm3"):
+                norm(f"blk.{i}.{part}")
+        else:
+            modulation(f"blk.{i}.ada")
+        if cfg.structure == "hybrid":
+            norm(f"blk.{i}.xnorm")
+        if cfg.uses_encoder:
+            attn(f"blk.{i}.xattn")
+    norm("trunk.norm")
+    for k in range(cfg.spec.levels):
+        layout.update(linear_layout(f"head.{k}", h, d))
+    return layout
+
+
+def init_params(layout: Layout, seed: int) -> dict[str, Tensor]:
+    """Draw a layout's parameters in its order from one generator seeded by `seed`."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, (shape, (kind, arg)) in layout.items():
+        if kind == "uniform":
+            data = rng.uniform(-arg, arg, shape)
+        elif kind == "normal":
+            data = rng.normal(0.0, arg, shape)
+        else:
+            data = np.full(shape, np.repeat(arg, shape[-1] // len(arg))
+                           if isinstance(arg, tuple) else arg)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
 class MaskedGridTransformer:
     """Parameter container plus forward pass for all three structures."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.params: dict[str, Tensor] = {}
+        self.params = init_params(param_layout(config), seed)
         self.forward_calls = 0
-        self._init_params(np.random.default_rng(seed))
 
     # -- parameters ---------------------------------------------------------
-
-    def _param(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Tensor(data, requires_grad=True)
-
-    def _linear_init(self, rng, name: str, n_in: int, n_out: int) -> None:
-        bound = 1.0 / np.sqrt(n_in)
-        self._param(f"{name}.w", rng.uniform(-bound, bound, (n_in, n_out)))
-        self._param(f"{name}.b", np.zeros(n_out))
-
-    def _norm_init(self, name: str, width: int) -> None:
-        self._param(f"{name}.g", np.ones(width))
-        self._param(f"{name}.b", np.zeros(width))
-
-    def _attn_init(self, rng, name: str, width: int) -> None:
-        for part in ("q", "k", "v", "o"):
-            self._linear_init(rng, f"{name}.{part}", width, width)
-
-    def _mlp_init(self, rng, name: str, width: int) -> None:
-        self._linear_init(rng, f"{name}.fc1", width, 4 * width)
-        self._linear_init(rng, f"{name}.fc2", 4 * width, width)
-
-    def _modulation_init(self, name: str, width: int) -> None:
-        # neutral start: shift=0, scale=1, gate=1, so blocks begin unmodulated
-        self._param(f"{name}.w", np.zeros((width, 6 * width)))
-        bias = np.zeros(6 * width)
-        for i, fld in enumerate(_MOD_FIELDS):
-            if fld.startswith(("scale", "gate")):
-                bias[i * width:(i + 1) * width] = 1.0
-        self._param(f"{name}.b", bias)
-
-    def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        h = cfg.hidden
-        d = cfg.spec.vocab_size
-        emb_bound = 1.0 / np.sqrt(h)
-        for k in range(cfg.spec.levels):
-            self._param(f"tok.{k}.table", rng.uniform(-emb_bound, emb_bound, (d, h)))
-            self._param(f"tok.{k}.mask", rng.uniform(-emb_bound, emb_bound, (1, h)))
-        self._param("tok.pos", rng.normal(0.0, 0.02, (cfg.max_len, h)))
-        for s in cfg.streams:
-            self._param(f"null.{s.name}", rng.normal(0.0, 0.02, (1, s.channels)))
-
-        if cfg.structure in ("adaln", "hybrid"):
-            ada_width = sum(s.channels for s in cfg.adaln_streams())
-            self._linear_init(rng, "ada.in1", ada_width, h)
-            self._linear_init(rng, "ada.in2", h, h)
-
-        if cfg.uses_encoder:
-            enc_width = sum(s.channels for s in cfg.encoder_streams())
-            self._linear_init(rng, "enc.in", enc_width, h)
-            self._param("enc.cls", rng.normal(0.0, 0.02, (1, h)))
-            self._param("enc.pos", rng.normal(0.0, 0.02, (cfg.cond_max_len, h)))
-            for j in range(cfg.encoder_depth):
-                self._norm_init(f"enc.{j}.norm1", h)
-                self._attn_init(rng, f"enc.{j}.attn", h)
-                self._norm_init(f"enc.{j}.norm2", h)
-                self._mlp_init(rng, f"enc.{j}.mlp", h)
-            self._norm_init("enc.norm", h)
-
-        for i in range(cfg.depth):
-            self._attn_init(rng, f"blk.{i}.attn", h)
-            self._mlp_init(rng, f"blk.{i}.mlp", h)
-            if cfg.structure == "adaln":
-                self._modulation_init(f"blk.{i}.ada", h)
-            elif cfg.structure == "seq2seq":
-                self._norm_init(f"blk.{i}.norm1", h)
-                self._norm_init(f"blk.{i}.norm2", h)
-                self._norm_init(f"blk.{i}.norm3", h)
-                self._attn_init(rng, f"blk.{i}.xattn", h)
-            else:  # hybrid
-                self._modulation_init(f"blk.{i}.ada", h)
-                self._norm_init(f"blk.{i}.xnorm", h)
-                self._attn_init(rng, f"blk.{i}.xattn", h)
-
-        self._norm_init("trunk.norm", h)
-        for k in range(cfg.spec.levels):
-            self._linear_init(rng, f"head.{k}", h, d)
 
     def n_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -450,27 +463,27 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
     return params, extra, load_json(config_path, CKPT_VERSION)
 
 
-def model_from_checkpoint(path) -> tuple["MaskedGridTransformer", dict[str, Tensor]]:
-    """The generator a checkpoint holds, its config read by `config_from`, and its extra
-    (aux) params; the records must have the names and shapes the config implies."""
-    params, extra, meta = load_checkpoint(path)
+def model_from_checkpoint(path) -> MaskedGridTransformer:
+    """The generator a checkpoint holds, its config read by `config_from`; its records are
+    checked against the config's layout before any parameter is drawn."""
+    params, _, meta = load_checkpoint(path)
     if "model" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a model")
     config = config_from(ModelConfig, meta["model"], f"{path}.json", "model")
+    check_records(path, params, param_layout(config))
     model = MaskedGridTransformer(config, seed=0)
-    check_records(path, params, model.params)
     model.params.update(params)
     model.check_finite_params()
-    return model, extra
+    return model
 
 
-def check_records(path, params: dict[str, Tensor], expected: dict[str, Tensor]) -> None:
-    """Raise unless the checkpoint's records have exactly the expected names and shapes."""
-    missing = sorted(set(expected) ^ set(params))
+def check_records(path, records: dict[str, Tensor], layout: Layout) -> None:
+    """Raise unless the checkpoint's records have exactly the layout's names and shapes."""
+    missing = sorted(set(layout) ^ set(records))
     if missing:
         more = ", ..." if len(missing) > 5 else ""
         raise ValidationError(f"{path}: checkpoint/config parameter mismatch in "
                               f"{len(missing)} names: {', '.join(missing[:5])}{more}")
-    for name, tensor in params.items():
-        if expected[name].data.shape != tensor.data.shape:
+    for name, tensor in records.items():
+        if layout[name][0] != tensor.data.shape:
             raise ValidationError(f"{path}: checkpoint shape mismatch for {name}")

@@ -18,7 +18,7 @@ from .autodiff import Tensor
 from .codegram import config_from
 from .errors import ShapeMismatchError, ValidationError
 from .features import resample_indices, stack_rows
-from .model import check_records, load_checkpoint
+from .model import Layout, check_records, init_params, linear_layout, load_checkpoint
 from .seeding import derive_seed
 from .train import AdamW, symmetric_diag_ce
 
@@ -43,33 +43,28 @@ class ScavConfig:
             raise ValidationError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
+def scav_layout(config: ScavConfig) -> Layout:
+    """The encoder pair's parameter shapes and inits, in the order they are drawn."""
+    return {
+        **linear_layout("video.fc1", config.video_dim, config.width),
+        **linear_layout("video.fc2", config.width, config.h_scav),
+        **linear_layout("audio.fc1", config.audio_dim, config.width),
+        **linear_layout("audio.fc2", config.width, config.h_scav * AUDIO_SUBBANDS),
+    }
+
+
 def init_scav_params(config: ScavConfig, seed: int) -> dict[str, Tensor]:
-    rng = np.random.default_rng(seed)
-
-    def lin(name, n_in, n_out):
-        bound = 1.0 / np.sqrt(n_in)
-        return {
-            f"{name}.w": Tensor(rng.uniform(-bound, bound, (n_in, n_out)),
-                                requires_grad=True),
-            f"{name}.b": Tensor(np.zeros(n_out), requires_grad=True),
-        }
-
-    params: dict[str, Tensor] = {}
-    params.update(lin("video.fc1", config.video_dim, config.width))
-    params.update(lin("video.fc2", config.width, config.h_scav))
-    params.update(lin("audio.fc1", config.audio_dim, config.width))
-    params.update(lin("audio.fc2", config.width, config.h_scav * AUDIO_SUBBANDS))
-    return params
+    return init_params(scav_layout(config), seed)
 
 
 def scav_from_checkpoint(path) -> tuple[dict[str, Tensor], ScavConfig]:
     """A scav checkpoint's params and config (read by `config_from`), its records
-    checked against the config."""
+    checked against the config's layout."""
     params, _, meta = load_checkpoint(path)
     if "scav" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a scav encoder")
     config = config_from(ScavConfig, meta["scav"], f"{path}.json", "scav")
-    check_records(path, params, init_scav_params(config, seed=0))
+    check_records(path, params, scav_layout(config))
     return params, config
 
 

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NonFiniteError, ShapeMismatchError, ValidationError
 from .features import resample_indices, stack_rows, stack_streams
-from .model import MaskedGridTransformer, ModelConfig
+from .model import MaskedGridTransformer, ModelConfig, init_params, linear_layout
 from .scheduler import draw_train_mask
 
 INIT_LOGIT_SCALE = math.log(1.0 / 0.07)
@@ -194,16 +194,8 @@ def init_aux_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
         return {}
     if config.aux_target_dim < 1:
         raise ValidationError("seq2seq/hybrid training requires aux_target_dim >= 1")
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(config.aux_target_dim)
-    return {
-        "aux.proj.w": Tensor(
-            rng.uniform(-bound, bound, (config.aux_target_dim, config.hidden)),
-            requires_grad=True,
-        ),
-        "aux.proj.b": Tensor(np.zeros(config.hidden), requires_grad=True),
-        "aux.logit_scale": Tensor(np.array(INIT_LOGIT_SCALE), requires_grad=True),
-    }
+    return init_params({**linear_layout("aux.proj", config.aux_target_dim, config.hidden),
+                        "aux.logit_scale": ((), ("fill", INIT_LOGIT_SCALE))}, seed)
 
 
 # -- batches and steps ------------------------------------------------------------

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskgram import cli
+from maskgram import cli, selector
 from maskgram.cli import main
 from maskgram.codegram import Codegram, config_from, load_codegram, save_codegram
 from maskgram.features import load_features, save_features
-from maskgram.model import MaskedGridTransformer, ModelConfig, load_checkpoint
+from maskgram.model import MaskedGridTransformer, ModelConfig, load_checkpoint, param_layout
 
 
 def run(argv):
@@ -483,6 +483,9 @@ def test_checkpoint_config_not_json_exits_3(dataset, tmp_path, capsys):
     pytest.param({"streams": {}}, "model.streams", id="object-streams"),
     pytest.param({"no_such_key": 1}, "model.no_such_key", id="unknown-key"),
     pytest.param({"spec.no_such_key": 1}, "model.spec.no_such_key", id="unknown-spec-key"),
+    pytest.param({"max_len": -1}, "max_len must be >= 1", id="negative-max-len"),
+    pytest.param({"cond_max_len": -1}, "cond_max_len must be >= 1",
+                 id="negative-cond-max-len"),
 ])
 def test_checkpoint_config_missing_or_mistyped_keys_exit_4(dataset, tmp_path, capsys,
                                                            damage, named):
@@ -553,8 +556,8 @@ def test_checkpoint_deeper_than_its_records_exits_4_in_one_short_line(dataset, t
     meta = json.loads(meta_path.read_text())
     meta["model"]["depth"] = 30
     meta_path.write_text(json.dumps(meta))
-    deeper = MaskedGridTransformer(config_from(ModelConfig, meta["model"], "", "model"))
-    extra = len(set(deeper.params) - set(load_checkpoint(ckpt)[0]))
+    deeper = param_layout(config_from(ModelConfig, meta["model"], "", "model"))
+    extra = len(set(deeper) - set(load_checkpoint(ckpt)[0]))
     capsys.readouterr()
     code = run(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
                 "--out", str(tmp_path / "s")])
@@ -563,6 +566,41 @@ def test_checkpoint_deeper_than_its_records_exits_4_in_one_short_line(dataset, t
     assert err.startswith("error (validation):") and err.count("\n") == 1
     assert f"parameter mismatch in {extra} names: " in err and extra > 5
     assert len(err) < 300, err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("model", "hidden", 3000),
+    ("model", "depth", 3000),
+    ("scav", "width", 100000),
+])
+def test_checkpoint_config_that_disagrees_with_its_records_allocates_nothing(
+        dataset, tmp_path, capsys, monkeypatch, kind, field, value):
+    # the records are checked against the config's layout before any parameter is drawn
+    if kind == "model":
+        ckpt = train_tiny(dataset, tmp_path)
+        argv = ["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                "--out", str(tmp_path / "s")]
+    else:
+        ckpt = tmp_path / "scav.ckpt"
+        assert run(["train", "--data", str(dataset), "--out", str(ckpt), "--what", "scav",
+                    "--steps", "2", "--batch-size", "8", "--n-scav", "8", "--h-scav", "4",
+                    "--scav-width", "8"]) == 0
+        argv = ["select", "--scav-checkpoint", str(ckpt),
+                "--video", str(dataset / "ex_00010.clip.emb"),
+                "--candidates", str(dataset / "ex_00010.cgram")]
+    meta_path = tmp_path / f"{kind}.ckpt.json"
+    meta = json.loads(meta_path.read_text())
+    meta[kind][field] = value
+    meta_path.write_text(json.dumps(meta))
+    calls = []
+    monkeypatch.setattr(MaskedGridTransformer, "__init__",
+                        lambda *args, **kw: calls.append("model"))
+    monkeypatch.setattr(selector, "init_scav_params", lambda *args: calls.append("scav"))
+    capsys.readouterr()
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error (validation):") and err.count("\n") == 1, err
+    assert calls == []
 
 
 def test_checkpoint_config_int_for_a_float_field_loads(dataset, tmp_path):
@@ -692,6 +730,8 @@ def test_sample_reads_only_the_sampled_example(dataset, tmp_path):
     ("train", "--weight-decay", "-1"),
     ("train", "--lambda-reg", "-1"),
     ("train", "--lambda-cont", "nan"),
+    ("train", "--encoder-depth", "-1"),
+    ("pipeline", "--encoder-depth", "-1"),
 ])
 def test_out_of_range_numeric_flag_exits_4(fuzz_dataset, tmp_path, capsys,
                                            command, flag, value):
@@ -710,6 +750,51 @@ def test_out_of_range_numeric_flag_exits_4(fuzz_dataset, tmp_path, capsys,
     _assert_one_line_error(capsys, "validation",
                            flag[2:].replace("-", "_").removeprefix("scav_"))
     assert not out.exists()
+
+
+def _numeric_flags() -> list[tuple[str, str]]:
+    """Every int and float flag of the commands that train or sample, from the parser."""
+    _, commands = cli.build_parser()
+    return [(command, action.option_strings[0])
+            for command in ("gen-data", "train", "sample", "pipeline")
+            for action in commands[command]._actions if action.type in (int, float)]
+
+
+# --threads is swept too: none of these values parses as a large int, so no thread pool
+# starts. Never add a large integer here; it would start that many threads.
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e300")
+TINY_MODEL = ["--depth", "1", "--hidden", "8", "--heads", "2", "--encoder-depth", "0",
+              "--batch-size", "2", "--warmup", "0"]
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES)
+@pytest.mark.parametrize("command, flag", _numeric_flags())
+def test_numeric_flag_sweep_exits_cleanly(fuzz_dataset, tmp_path, capsys, command, flag,
+                                          value):
+    out = tmp_path / "out"
+    data = ["--data", str(fuzz_dataset), "--out", str(out)]
+    argv = {
+        "gen-data": gen_args(out),
+        "train": ["train", *data, "--what", "scav" if "scav" in flag else "model",
+                  "--steps", "1", *TINY_MODEL],
+        "sample": ["sample", "--ckpt", str(fuzz_dataset / "model.ckpt"), *data,
+                   "--steps", "1"],
+        "pipeline": ["pipeline", *gen_args(out)[1:], *TINY_MODEL, "--train-steps", "1",
+                     "--scav-steps", "1", "--beams", "1", "--steps", "1", "--eval-count",
+                     "1", "--n-scav", "2", "--h-scav", "2", "--scav-width", "4",
+                     "--kernel-size", "2"],
+    }[command]
+    capsys.readouterr()
+    try:
+        code = run([*argv, flag, value])
+    except SystemExit as exc:  # argparse: the value is not of the flag's type
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 4), err
+    if code == 2:
+        assert f"argument {flag}: invalid" in err.splitlines()[-1], err
+    elif code == 4:
+        assert err.startswith("error (validation):") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("suffix, what, field", [

@@ -28,6 +28,7 @@ from maskgram.model import (
     StreamSpec,
     load_checkpoint,
     model_from_checkpoint,
+    param_layout,
     save_checkpoint,
 )
 
@@ -221,6 +222,30 @@ def test_zero_weights_leave_head_biases(structure):
     np.testing.assert_allclose(logits.data, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
+def test_forward_reads_every_layout_parameter(structure):
+    # checkpoints are checked against the layout, so it must name exactly what forward reads
+    cfg = tiny_config(structure)
+    model = MaskedGridTransformer(cfg, seed=26)
+    rng = np.random.default_rng(27)
+    # zero modulation weights would leave the conditioning path's gradients at zero
+    for name, p in model.params.items():
+        if ".ada.w" in name:
+            p.data = rng.normal(0.0, 0.2, p.data.shape)
+    tokens, mask, streams = rand_inputs(cfg, rng)
+    mask[:, 0] = True  # every row reads the MASK embeddings
+    logits, enc = model.forward(tokens, mask, streams, np.array([True, False]))
+    loss = ad.tsum(logits * rng.normal(size=logits.shape))
+    if enc is not None:
+        loss = (loss + ad.tsum(enc.cls * rng.normal(size=enc.cls.shape))
+                + ad.tsum(enc.sequence * rng.normal(size=enc.sequence.shape)))
+    loss.backward()
+    assert list(model.params) == list(param_layout(cfg))
+    no_grad = [name for name, p in model.params.items()
+               if p.grad is None or not np.any(p.grad)]
+    assert no_grad == []
+
+
 def test_forward_deterministic():
     cfg = tiny_config("seq2seq")
     model = MaskedGridTransformer(cfg, seed=3)
@@ -392,7 +417,7 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(
         loaded_extra["aux.proj.w"].data, model.params["enc.cls"].data
     )
-    restored, _ = model_from_checkpoint(path)
+    restored = model_from_checkpoint(path)
     rng = np.random.default_rng(20)
     tokens, mask, streams = rand_inputs(cfg, rng)
     with ad.no_grad():
@@ -408,7 +433,7 @@ def test_checkpoint_config_with_the_retired_target_embed_dim_key_loads(tmp_path)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.params,
                     {"model": {**asdict(cfg), "target_embed_dim": None}})
-    restored, _ = model_from_checkpoint(path)
+    restored = model_from_checkpoint(path)
     assert restored.config == cfg
     assert "target_embed_dim" not in asdict(cfg)
 
@@ -421,7 +446,7 @@ def test_checkpoint_config_with_the_retired_spec_embed_dim_key_loads(tmp_path):
     meta = asdict(cfg)
     meta["spec"]["embed_dim"] = 8
     save_checkpoint(path, model.params, {"model": meta})
-    restored, _ = model_from_checkpoint(path)
+    restored = model_from_checkpoint(path)
     assert restored.config == cfg
     assert "embed_dim" not in asdict(cfg)["spec"]
 
