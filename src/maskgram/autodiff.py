@@ -1,8 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over numpy float64 arrays.
+"""Minimal reverse-mode automatic differentiation over numpy float32 or float64
+arrays.
 
 Every operation's vector-Jacobian product is written by hand; the op set is
 closed (exactly what the transformer blocks, losses, and encoders need) and
 each VJP is validated against central finite differences in the test suite.
+
+Ops follow their inputs' dtype: a tensor keeps a float32 or float64 array (any
+other input becomes float64), a constant operand takes its tensor partner's
+dtype, and scratch arrays and gradients follow the arrays they come from.
 
 Gradients only flow while `grad_enabled()` is true; wrap inference code in
 `no_grad()` to skip building the graph entirely.
@@ -11,11 +16,13 @@ Gradients only flow while `grad_enabled()` is true; wrap inference code in
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 _GRAD_ENABLED = [True]
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def grad_enabled() -> bool:
@@ -37,7 +44,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -62,10 +70,12 @@ class Tensor:
     @staticmethod
     def _make(data, parents: Sequence["Tensor"], backward) -> "Tensor":
         needs = grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs)
-        if needs:
-            out._parents = tuple(parents)
-            out._backward = backward
+        out = Tensor.__new__(Tensor)  # no dtype check: the op kept its inputs' dtype
+        out.data = np.asarray(data)  # a 0-d sum or product is a numpy scalar
+        out.grad = None
+        out.requires_grad = needs
+        out._backward = backward if needs else None
+        out._parents = tuple(parents) if needs else ()
         return out
 
     def backward(self, seed=None) -> None:
@@ -90,7 +100,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self.grad = np.asarray(seed, dtype=self.data.dtype)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -137,6 +147,16 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors, a constant one in its tensor partner's dtype. Under
+    NEP 50 a float64 0-d array is not weak, so `t32 * 0.5` would run in float64."""
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype) if isinstance(a, Tensor) else b)
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    return a, b
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -199,7 +219,7 @@ def _row_blocks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -212,7 +232,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def backward(g):
@@ -225,7 +245,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -238,7 +258,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data / b.data
 
     def backward(g):
@@ -300,7 +320,8 @@ def tanh(a) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats, which NEP 50 keeps weak, so a float32 GELU stays float32
+_GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
@@ -546,7 +567,7 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None,
     """Normalize over the last axis; affine only when gamma/beta given."""
     x = as_tensor(x)
     xhat = np.empty_like(x.data)
-    inv = np.empty(x.shape[:-1] + (1,))
+    inv = np.empty(x.shape[:-1] + (1,), dtype=x.data.dtype)
     if gamma is not None:
         out_data = np.empty_like(x.data)
         parents = (x, gamma, beta)
@@ -586,7 +607,7 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None,
 def _scatter_rows(idx: np.ndarray, g2: np.ndarray, rows: int) -> np.ndarray:
     """Sum the rows of g2 (N, F) into `rows` rows at idx (N,), repeats adding
     up, as one GEMM with a (rows, N) one-hot matrix."""
-    onehot = np.zeros((rows, idx.size))
+    onehot = np.zeros((rows, idx.size), dtype=g2.dtype)
     onehot[idx, np.arange(idx.size)] = 1.0
     return onehot @ g2
 

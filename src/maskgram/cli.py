@@ -278,11 +278,14 @@ def _sample_rows(model, rows, seeds, length, config, threads,
                  trace=None) -> list[Codegram]:
     """sample_batch over row chunks split evenly across `threads` workers, in order."""
     size = min(SAMPLE_CHUNK_ROWS, max(MIN_CHUNK_ROWS, -(-len(rows) // threads)))
+    # numpy's error state is per thread, and pool threads start at the default
+    errors = np.geterr()
 
     def run_chunk(start: int) -> list[Codegram]:
         chunk = slice(start, start + size)
-        return sample_batch(model, rows[chunk], length, config, seeds=seeds[chunk],
-                            trace=trace if start == 0 else None)
+        with np.errstate(**errors):
+            return sample_batch(model, rows[chunk], length, config, seeds=seeds[chunk],
+                                trace=trace if start == 0 else None)
 
     starts = range(0, len(rows), size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -602,7 +605,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _load_config_defaults(argv, commands)
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a fault is reported in one error line, by the finiteness checks; numpy's
+        # floating-point warnings before it would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (FileFormatError, OSError) as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_IO

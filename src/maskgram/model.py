@@ -7,9 +7,10 @@ in through cross-attention. hybrid: cross-attention to the encoded
 frame-semantic streams plus AdaLN modulation from the alignment-sensitive
 streams.
 
-The forward pass runs on the in-package autodiff engine in float64; gradients
-come from the handwritten VJPs and are checked against finite differences in
-the tests.
+The forward pass runs on the in-package autodiff engine in the parameters'
+dtype: float64 for training and checkpoints, float32 on the copy that
+`astype` makes for sampling. Gradients come from the handwritten VJPs and are
+checked against finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -200,10 +201,12 @@ def init_params(layout: Layout, seed: int) -> dict[str, Tensor]:
 class MaskedGridTransformer:
     """Parameter container plus forward pass for all three structures."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 params: dict[str, Tensor] | None = None):
+        """Parameters drawn from `seed`, or `params` as given: a dict that holds
+        exactly the names and shapes of `param_layout(config)`."""
         self.config = config
-        self.params = init_params(param_layout(config), seed)
-        self.forward_calls = 0
+        self.params = init_params(param_layout(config), seed) if params is None else params
 
     # -- parameters ---------------------------------------------------------
 
@@ -214,6 +217,15 @@ class MaskedGridTransformer:
         for name, p in self.params.items():
             if not np.isfinite(p.data).all():
                 raise NonFiniteError(f"parameter {name}")
+
+    def astype(self, dtype) -> MaskedGridTransformer:
+        """A model of the same config with every parameter cast to `dtype`. A finite
+        value beyond the dtype's range raises NonFiniteError naming its parameter."""
+        model = MaskedGridTransformer(self.config, params={
+            name: Tensor(p.data.astype(dtype), requires_grad=True)
+            for name, p in self.params.items()})
+        model.check_finite_params()
+        return model
 
     # -- building blocks -----------------------------------------------------
 
@@ -280,7 +292,8 @@ class MaskedGridTransformer:
         `drop` read [NULL]."""
         if streams is None or spec.name not in streams:
             raise MissingStreamError(f"stream {spec.name!r} is missing")
-        data = np.asarray(streams[spec.name], dtype=np.float64)
+        null = self.params[f"null.{spec.name}"]
+        data = np.asarray(streams[spec.name], dtype=null.data.dtype)
         if data.ndim != 3 or data.shape[0] != drop.size or data.shape[2] != spec.channels:
             raise ShapeMismatchError(
                 f"stream {spec.name!r}", f"({drop.size}, N, {spec.channels})", data.shape
@@ -288,8 +301,7 @@ class MaskedGridTransformer:
         base = Tensor(data)
         if not drop.any():
             return base
-        null = ad.reshape(self.params[f"null.{spec.name}"], (1, 1, spec.channels))
-        return ad.where(~drop[:, None, None], base, null)
+        return ad.where(~drop[:, None, None], base, ad.reshape(null, (1, 1, spec.channels)))
 
     def _assemble(self, specs, streams, drop, target_len=None) -> Tensor:
         """Concat streams channel-wise, resampled to `target_len` (else the first
@@ -352,7 +364,6 @@ class MaskedGridTransformer:
         has one.
         """
         cfg = self.config
-        self.forward_calls += 1
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
         if tokens.ndim != 3 or tokens.shape[2] != cfg.spec.levels:
@@ -420,7 +431,7 @@ def save_checkpoint(path, params: dict[str, Tensor], meta: dict,
     chunks = [CKPT_MAGIC, struct.pack("<HI", CKPT_VERSION, len(records))]
     for name, tensor in records.items():
         name_b = name.encode("utf-8")
-        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
+        arr = np.asarray(tensor.data, dtype="<f8")  # ascontiguousarray would make 0-d 1-d
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)
         chunks.append(struct.pack("<B", arr.ndim))
@@ -464,15 +475,14 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], dict[str, Tensor], dict]:
 
 
 def model_from_checkpoint(path) -> MaskedGridTransformer:
-    """The generator a checkpoint holds, its config read by `config_from`; its records are
-    checked against the config's layout before any parameter is drawn."""
+    """The generator a checkpoint holds, its config read by `config_from`; its records,
+    checked against the config's layout, are its parameters (none is drawn)."""
     params, _, meta = load_checkpoint(path)
     if "model" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a model")
     config = config_from(ModelConfig, meta["model"], f"{path}.json", "model")
     check_records(path, params, param_layout(config))
-    model = MaskedGridTransformer(config, seed=0)
-    model.params.update(params)
+    model = MaskedGridTransformer(config, params=params)
     model.check_finite_params()
     return model
 

@@ -14,6 +14,10 @@ Then re-mask the schedule's next masked count of lowest-confidence draws per
 row and commit the rest. Committed positions are frozen. Each row keeps its
 own generator, which draws the same numbers as a row sampled alone, so a
 row's bytes do not depend on the batch.
+
+`sample_batch` runs the model's forward passes in float32, on one cast copy
+of the model per call; the masked logits are cast back to float64, so
+guidance, the filter, log-softmax, the draw and the confidences run in float64.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ from .seeding import derive_seed
 # committed the unconditional pass reads the answer from it and turns sharp, so
 # the plain contrast would lift tokens it rules out above the right one.
 _LOG_PLAUSIBLE_RATIO = float(np.log(0.1))
+
+# The forward passes' dtype: on a 2-core machine, 200 rows sampled 1.7x as fast in
+# float32 as in float64. Training, evaluation and checkpoints stay float64.
+FORWARD_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def _model_logits(model: MaskedGridTransformer, state: SamplerState,
         cond_logits, cond_enc = model.forward(tokens, mask, streams, None,
                                               enc_out=state.cond_enc)
         state = replace(state, cond_enc=cond_enc)
-        cond = cond_logits.data[mask]
+        cond = np.asarray(cond_logits.data[mask], dtype=np.float64)
         if config.gamma > 0 or config.force_two_pass:
             drop = np.ones(len(tokens), dtype=bool)
             uncond_logits, null_enc = model.forward(tokens, mask, streams, drop,
@@ -213,7 +221,8 @@ def sample_batch(
     trace: list[str] | None = None,
 ) -> list[Codegram]:
     """Run the full schedule for a batch of independent rows, each given by its
-    stream dict; `trace` follows row 0."""
+    stream dict; `trace` follows row 0. The forward passes run on a copy of the
+    model in FORWARD_DTYPE, made here, so concurrent calls share no model."""
     spec = model.config.spec
     streams = stack_streams(rows)
     batch = len(rows)
@@ -222,6 +231,7 @@ def sample_batch(
     if len(seeds) != batch:
         raise ValidationError(f"need {batch} seeds, got {len(seeds)}")
     schedule = build_sample_schedule(length * spec.levels, config.n_steps)
+    model = model.astype(FORWARD_DTYPE)
     state = init_state(batch, length, spec.levels, spec, seeds)
     if trace is not None:
         trace.append("step,masked_count,mean_confidence")

@@ -233,15 +233,39 @@ def test_linear_grads_add_onto_existing_grads():
 
 @pytest.mark.parametrize("n_in,n_out", [(96, 96), (96, 384), (384, 96), (96, 260)])
 def test_linear_row_bytes_do_not_depend_on_batch(n_in, n_out):
-    # sample_batch's batched rows equal single-row calls only if this holds
+    # sample_batch's batched rows equal single-row calls only if this holds, in the
+    # float32 that sampling runs and in float64
     rng = np.random.default_rng(13)
-    w = Tensor(rng.uniform(-0.1, 0.1, (n_in, n_out)))
-    b = Tensor(rng.normal(size=n_out))
+    w = rng.uniform(-0.1, 0.1, (n_in, n_out))
+    b = rng.normal(size=n_out)
     x = rng.normal(size=(200, 32, n_in))
-    batched = ad.linear(Tensor(x), w, b).data
-    for row in (0, 117, 199):
-        single = ad.linear(Tensor(x[row:row + 1]), w, b).data
-        assert single.tobytes() == batched[row:row + 1].tobytes()
+    for dtype in (np.float32, np.float64):
+        wt, bt = Tensor(w.astype(dtype)), Tensor(b.astype(dtype))
+        batched = ad.linear(Tensor(x.astype(dtype)), wt, bt).data
+        assert batched.dtype == dtype
+        for row in (0, 117, 199):
+            single = ad.linear(Tensor(x[row:row + 1].astype(dtype)), wt, bt).data
+            assert single.tobytes() == batched[row:row + 1].tobytes()
+
+
+def test_tensor_keeps_float32_and_float64_and_makes_the_rest_float64():
+    for data, dtype in ((np.zeros(3, np.float32), np.float32), (np.zeros(3), np.float64),
+                        (np.zeros(3, np.float16), np.float64), ([1, 2], np.float64),
+                        (2, np.float64), (np.float32(2.0), np.float32)):
+        assert Tensor(data).data.dtype == dtype, data
+
+
+def test_constant_operands_take_the_tensor_dtype():
+    # under NEP 50 a float64 scalar is not weak: wrapped as is, it would promote
+    t32 = Tensor(np.arange(1.0, 4.0, dtype=np.float32), requires_grad=True)
+    outs = [ad.mul(t32, np.float64(0.125)), -t32, 0.5 + t32, 1.0 - t32, t32 / 2.0,
+            2.0 / t32, t32 * np.array([1.0, 2.0, 3.0])]
+    assert [o.data.dtype for o in outs] == [np.float32] * len(outs)
+    ad.tsum(outs[0] * outs[1]).backward()
+    assert t32.grad.dtype == np.float32
+    t64 = Tensor(np.ones(3))
+    assert ad.mul(t64, np.float32(0.125)).data.dtype == np.float64
+    assert (t64 + t32).data.dtype == np.float64
 
 
 def test_softmax_and_log_softmax_grads():

@@ -3,18 +3,29 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maskgram
 from maskgram import cli, selector
 from maskgram.cli import main
 from maskgram.codegram import Codegram, config_from, load_codegram, save_codegram
 from maskgram.features import load_features, save_features
-from maskgram.model import MaskedGridTransformer, ModelConfig, load_checkpoint, param_layout
+from maskgram.model import (
+    MaskedGridTransformer,
+    ModelConfig,
+    load_checkpoint,
+    param_layout,
+    save_checkpoint,
+)
 
 
 def run(argv):
@@ -412,6 +423,38 @@ def _assert_one_line_error(capsys, kind: str, named: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith(f"error ({kind}):") and err.count("\n") == 1
     assert named in err, err
+
+
+def run_subprocess(argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, whose stderr shows every warning a user would see
+    (pytest captures warnings in-process)."""
+    path = [str(Path(maskgram.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "maskgram.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_diverging_training_prints_only_its_error_line(dataset, tmp_path):
+    done = run_subprocess(["train", "--data", str(dataset), "--out",
+                           str(tmp_path / "m.ckpt"), "--hidden", "16", "--steps", "3",
+                           "--peak-lr", "1e300"])
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.startswith("error (validation): non-finite values detected in ")
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
+def test_weight_beyond_float32_range_fails_sampling_threads_in_one_line(dataset, tmp_path):
+    ckpt = train_tiny(dataset, tmp_path)
+    params, extra, meta = load_checkpoint(ckpt)
+    params["enc.in.w"].data[0, 0] = 1e39  # finite in float64, not in float32
+    save_checkpoint(ckpt, params, {k: v for k, v in meta.items() if k != "version"}, extra)
+    # 16 beams on 2 threads are two 8-row sample_batch calls in pool threads
+    done = run_subprocess(["sample", "--ckpt", str(ckpt), "--data", str(dataset),
+                           "--beams", "16", "--threads", "2", "--steps", "2",
+                           "--out", str(tmp_path / "s")])
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == ("error (validation): non-finite values detected in "
+                           "parameter enc.in.w\n")
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--beams"])

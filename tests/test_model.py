@@ -31,6 +31,7 @@ from maskgram.model import (
     param_layout,
     save_checkpoint,
 )
+from maskgram.train import init_aux_params, masked_ce_t
 
 GELU_C = np.sqrt(2.0 / np.pi)
 GELU_A = 0.044715
@@ -402,6 +403,56 @@ def test_config_validation():
             streams=(StreamSpec("s3d", 3, ALIGNMENT_SENSITIVE),),
             depth=1, hidden=8, heads=2,
         )
+
+
+@pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
+def test_float32_forward_and_backward_stay_float32(structure, monkeypatch):
+    cfg = tiny_config(structure)
+    model = MaskedGridTransformer(cfg, seed=31).astype(np.float32)
+    tokens, mask, streams = rand_inputs(cfg, np.random.default_rng(32))
+    outputs = []
+    make = ad.Tensor._make
+
+    def spy(data, parents, backward):
+        out = make(data, parents, backward)
+        outputs.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(ad.Tensor, "_make", staticmethod(spy))
+    # one dropped row, so the [NULL] parameters take part too
+    logits, _ = model.forward(tokens, mask, streams, np.array([True, False]))
+    masked_ce_t(logits, tokens, mask).backward()
+    assert len(outputs) > 50 and set(outputs) == {np.dtype(np.float32)}
+    grads = {name: p.grad for name, p in model.params.items()}
+    assert {g.dtype for g in grads.values() if g is not None} == {np.dtype(np.float32)}
+    assert [name for name, g in grads.items() if g is None] == []
+
+
+def test_astype_casts_every_parameter_and_names_one_out_of_float32_range():
+    model = MaskedGridTransformer(tiny_config("hybrid"), seed=33)
+    cast = model.astype(np.float32)
+    assert cast.config is model.config and list(cast.params) == list(model.params)
+    for name, p in model.params.items():
+        assert p.data.dtype == np.float64
+        assert cast.params[name].data.tobytes() == p.data.astype(np.float32).tobytes()
+    # finite in float64, beyond float32's largest value (about 3.4e38)
+    model.params["blk.0.mlp.fc1.w"].data[1, 2] = 1e39
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError,
+                                                   match="parameter blk.0.mlp.fc1.w"):
+        model.astype(np.float32)
+
+
+def test_checkpoint_keeps_0d_shapes(tmp_path):
+    cfg = tiny_config("seq2seq")
+    model = MaskedGridTransformer(cfg, seed=19)
+    aux = init_aux_params(cfg, seed=20)
+    assert aux["aux.logit_scale"].data.shape == ()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, {"model": asdict(cfg)}, extra=aux)
+    _, extra, _ = load_checkpoint(path)
+    for name, tensor in aux.items():
+        assert extra[name].data.shape == tensor.data.shape
+        assert extra[name].data.tobytes() == tensor.data.tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):

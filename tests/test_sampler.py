@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maskgram import autodiff as ad
+from maskgram import sampler
 from maskgram.codegram import CodebookSpec
 from maskgram.errors import MissingStreamError, ShapeMismatchError, ValidationError
 from maskgram.features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC, stack_streams
@@ -57,6 +58,9 @@ class PairModel:
     def __init__(self, cond: np.ndarray, uncond: np.ndarray, spec: CodebookSpec):
         self.cond, self.uncond = cond, uncond
         self.config = type("Cfg", (), {"spec": spec})()
+
+    def astype(self, dtype):
+        return self
 
     def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         out = type("Out", (), {})()
@@ -137,6 +141,9 @@ class OneHotModel:
         self.forward_calls = 0
         self.config = type("Cfg", (), {"spec": spec})()
 
+    def astype(self, dtype):
+        return self
+
     def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         self.forward_calls += 1
         b, length, levels = tokens.shape
@@ -160,6 +167,9 @@ class ConstantModel:
         self.spec = spec
         self.forward_calls = 0
         self.config = type("Cfg", (), {"spec": spec})()
+
+    def astype(self, dtype):
+        return self
 
     def forward(self, tokens, mask, streams, drop=None, enc_out=None):
         self.forward_calls += 1
@@ -342,18 +352,19 @@ def test_trace_records_steps():
 
 @pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
-def test_batched_rows_match_single_row_calls(structure, gamma):
+def test_batched_rows_match_single_row_calls(structure, gamma, monkeypatch):
     model = real_model(seed=7, structure=structure)
-    # the reference runs each row alone and re-encodes at every forward
-    uncached = real_model(seed=7, structure=structure)
-    forward = uncached.forward
-    uncached.forward = lambda *args, enc_out=None: forward(*args)
     rows = [make_row(seed=s) for s in (8, 9, 8, 10)]
     seeds = [31, 32, 33, 34]
     config = SamplerConfig(n_steps=4, gamma=gamma, delta=2.0, seed=0)
     batched = sample_batch(model, rows, 6, config, seeds=seeds)
+    # the reference runs each row alone and re-encodes at every forward; the patch is
+    # on the class, because sample_batch runs a cast copy of the model
+    forward = MaskedGridTransformer.forward
+    monkeypatch.setattr(MaskedGridTransformer, "forward",
+                        lambda self, *args, enc_out=None: forward(self, *args))
     for row, seed, grid in zip(rows, seeds, batched):
-        single = sample_batch(uncached, [row], 6, config, seeds=[seed])[0]
+        single = sample_batch(model, [row], 6, config, seeds=[seed])[0]
         assert grid.tokens.tobytes() == single.tokens.tobytes()
 
 
@@ -371,17 +382,51 @@ def test_rows_are_checked_before_sampling():
                      config, seeds=[1])
 
 
+def spy_on(monkeypatch, name: str, record) -> None:
+    """Wrap a MaskedGridTransformer method so `record(result)` sees each call's result.
+    The spy sits on the class, because sample_batch runs a cast copy of the model."""
+    method = getattr(MaskedGridTransformer, name)
+
+    def spy(self, *args, **kwargs):
+        result = method(self, *args, **kwargs)
+        record(result)
+        return result
+
+    monkeypatch.setattr(MaskedGridTransformer, name, spy)
+
+
 @pytest.mark.parametrize("gamma, passes", [(0.0, 1), (2.0, 2)])
 def test_encoder_runs_once_per_pass_per_call(gamma, passes, monkeypatch):
     model = real_model(seed=11, structure="seq2seq")
-    encode = model._encode
-    calls = []
-    monkeypatch.setattr(model, "_encode", lambda *a: calls.append(1) or encode(*a))
+    encodes, forwards = [], []
+    spy_on(monkeypatch, "_encode", encodes.append)
+    spy_on(monkeypatch, "forward", forwards.append)
     config = SamplerConfig(n_steps=5, gamma=gamma, delta=1.0, seed=2)
     sample_batch(model, [make_row(seed=s) for s in range(3)], 6, config,
                  seeds=[1, 2, 3])
-    assert len(calls) == passes
-    assert model.forward_calls == 5 * passes
+    assert len(encodes) == passes
+    assert len(forwards) == 5 * passes
+
+
+@pytest.mark.parametrize("structure", ["adaln", "seq2seq", "hybrid"])
+def test_forward_runs_in_float32_and_the_draw_in_float64(structure, monkeypatch):
+    model = real_model(seed=13, structure=structure)
+    logits, confidences = [], []
+    spy_on(monkeypatch, "forward", lambda out: logits.append(out[0].data.dtype))
+    step = sampler.sample_step
+
+    def spy_step(*args):
+        state = step(*args)
+        confidences.append(state.confidences.dtype)
+        return state
+
+    monkeypatch.setattr(sampler, "sample_step", spy_step)
+    config = SamplerConfig(n_steps=3, gamma=2.0, delta=1.0, seed=2)
+    sample_batch(model, [make_row(seed=1)], 6, config, seeds=[1])
+    assert logits == [np.float32] * 6
+    assert confidences == [np.float64] * 3
+    # the caller's model keeps its float64 parameters
+    assert {p.data.dtype for p in model.params.values()} == {np.dtype(np.float64)}
 
 
 # -- oracle: the per-row loop over every position -----------------------------------
