@@ -182,39 +182,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-# Row-wise forward kernels (softmax, log-softmax, layer norm, GELU) walk their
-# input in 2-D row blocks of at most this many elements, 1 MiB of float64, so
-# each block's temporaries stay in L2 instead of streaming multi-MB arrays
-# through memory once per numpy call. An array of at most one block runs as
-# one call, as before. Blocks of 1 << 14 elements made `maskgram sample
-# --beams 16 --threads 2` 0.80x as fast on a 2-core machine: its two sampling
-# threads contend for the interpreter lock over the extra per-block calls.
-# Kernels keep their temporaries few: a GELU that freed four 1 MiB temporaries
-# after allocating its output made glibc trim a sampling thread's heap on
-# every call (95K minor faults per 8-row `sample_batch` at `--threads 2`).
-_BLOCK_ELEMS = 1 << 17
-
-
-def _row_blocks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
-    """Run `kernel(x_rows, *out_rows)` over row blocks of x's last axis.
-
-    Each output has x's leading shape and is written in place; a row's values
-    do not depend on the blocking. Arrays of at most one block, and arrays
-    that are not C-contiguous, are passed whole.
-    """
-    width = max(x.shape[-1], 1)
-    step = max(_BLOCK_ELEMS // width, 1)
-    rows = x.size // width
-    if rows <= step or not x.flags.c_contiguous:
-        kernel(x, *outs)
-        return
-    x = x.reshape(rows, width)
-    outs = [o.reshape(rows, -1) for o in outs]
-    for start in range(0, rows, step):
-        block = slice(start, start + step)
-        kernel(x[block], *(o[block] for o in outs))
-
-
 # -- elementwise arithmetic ---------------------------------------------------
 
 
@@ -318,6 +285,40 @@ def tanh(a) -> Tensor:
         _accumulate(a, g * (1.0 - out_data * out_data))
 
     return Tensor._make(out_data, (a,), backward)
+
+
+# GELU walks its input in 2-D row blocks of at most this many elements, 1 MiB of
+# float64, so that its temporaries stay in L2. On a 2-core machine, at the
+# 200-row sampling shape (200, 32, 384) in float32, one whole-array GELU took
+# 11 ms against 5 ms in blocks, and sampling 200 rows without blocks lost 4 of
+# 4 paired runs (median 0.94x) with 7% more peak RSS. Softmax, log-softmax and
+# layer norm were measured not to gain end to end from blocks, so each is one
+# numpy pass. Blocks of 1 << 14 elements made `maskgram sample --beams 16
+# --threads 2` 0.80x as fast: its two sampling threads contend for the
+# interpreter lock over the extra per-block calls. A GELU that freed four 1 MiB
+# temporaries after allocating its output made glibc trim a sampling thread's
+# heap on every call (95K minor faults per 8-row `sample_batch` at `--threads 2`).
+_BLOCK_ELEMS = 1 << 17
+
+
+def _row_blocks(kernel, x: np.ndarray, *outs: np.ndarray) -> None:
+    """Run `kernel(x_rows, *out_rows)` over row blocks of x's last axis.
+
+    Each output has x's shape and is written in place; a row's values do not
+    depend on the blocking. Arrays of at most one block, and arrays that are
+    not C-contiguous, are passed whole.
+    """
+    width = max(x.shape[-1], 1)
+    step = max(_BLOCK_ELEMS // width, 1)
+    rows = x.size // width
+    if rows <= step or not x.flags.c_contiguous:
+        kernel(x, *outs)
+        return
+    x = x.reshape(rows, width)
+    outs = [o.reshape(rows, -1) for o in outs]
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        kernel(x[block], *(o[block] for o in outs))
 
 
 # Python floats, which NEP 50 keeps weak, so a float32 GELU stays float32
@@ -517,27 +518,11 @@ def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # -- softmax family --------------------------------------------------------------
 
 
-def _softmax_rows(x, out):
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax_rows(x, out, soft=None):
-    """Log-softmax into `out`; `soft` receives its exp when given."""
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    e = np.exp(out, out=soft)
-    out -= np.log(e.sum(axis=-1, keepdims=True))
-    if soft is not None:
-        np.exp(out, out=soft)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    x = a.data.swapaxes(axis, -1)  # a view; only a last axis gets blocked
-    out_data = np.empty_like(x)
-    _row_blocks(_softmax_rows, x, out_data)
-    out_data = out_data.swapaxes(axis, -1)
+    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
@@ -546,15 +531,20 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax of a plain array along `axis`: the forward of `log_softmax`, and
+    the sampler's log-probabilities."""
+    out = x - x.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+    return out
+
+
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    x = a.data.swapaxes(axis, -1)
-    out_data, soft = np.empty_like(x), np.empty_like(x)
-    _row_blocks(_log_softmax_rows, x, out_data, soft)
-    out_data, soft = out_data.swapaxes(axis, -1), soft.swapaxes(axis, -1)
+    out_data = log_softmax_array(a.data, axis)
 
     def backward(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -566,25 +556,16 @@ def layer_norm(x, gamma: Tensor | None = None, beta: Tensor | None = None,
                eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis; affine only when gamma/beta given."""
     x = as_tensor(x)
-    xhat = np.empty_like(x.data)
-    inv = np.empty(x.shape[:-1] + (1,), dtype=x.data.dtype)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     if gamma is not None:
-        out_data = np.empty_like(x.data)
+        out_data = xhat * gamma.data
+        out_data += beta.data
         parents = (x, gamma, beta)
     else:
         out_data = xhat
         parents = (x,)
-
-    def rows(xb, xhat_b, inv_b, out_b):
-        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=xhat_b)
-        var = (xhat_b * xhat_b).mean(axis=-1, keepdims=True)
-        np.divide(1.0, np.sqrt(var + eps), out=inv_b)
-        xhat_b *= inv_b
-        if gamma is not None:
-            np.multiply(xhat_b, gamma.data, out=out_b)
-            out_b += beta.data
-
-    _row_blocks(rows, x.data, xhat, inv, out_data)
 
     def backward(g):
         if gamma is not None:

@@ -18,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .codegram import Codegram, dump_text, load_codegram, load_json, save_codegram
+from .codegram import (
+    Codegram,
+    dump_text,
+    json_value,
+    load_codegram,
+    load_json,
+    save_codegram,
+)
 from .errors import FileFormatError, MaskgramError, ValidationError
 from .features import load_features
 from .metrics import (
@@ -46,6 +53,7 @@ from .selector import (
     train_scav,
 )
 from .synthetic import (
+    LATENT_DIM,
     SyntheticTaskSpec,
     bundle_for,
     codegram_to_signal,
@@ -116,18 +124,12 @@ def _load_config_defaults(argv: list[str],
 
 
 def _config_value(path, action: argparse.Action, value):
-    """A config value as its flag accepts it: argparse's `type` on its text, then
-    `choices`; a switch (store_true) takes only a JSON boolean."""
-    if action.nargs == 0:
-        valid = isinstance(value, bool)
-    else:
-        try:
-            value = (action.type or str)(str(value))
-        except (TypeError, ValueError):
-            valid = False
-        else:
-            valid = action.choices is None or value in action.choices
-    if not valid:
+    """A config value of its flag's JSON type, by the rule of `config_from`: a switch
+    (store_true) takes a JSON boolean, any other flag its `type` (int, float or str,
+    where a JSON int passes for a float); then `choices`."""
+    hint = bool if action.nargs == 0 else action.type or str
+    value = json_value(hint, value, path, repr(action.dest))
+    if action.choices is not None and value not in action.choices:
         raise ValidationError(f"{path}: invalid value {value!r} for {action.dest!r}")
     return value
 
@@ -210,7 +212,8 @@ def _model_config_from(task: SyntheticTaskSpec, args) -> ModelConfig:
 def _scav_config_from(task: SyntheticTaskSpec, args, temperature: float) -> ScavConfig:
     return ScavConfig(
         n_scav=args.n_scav, h_scav=args.h_scav, video_dim=task.clip_dim,
-        audio_dim=8 * task.levels, width=args.scav_width, temperature=temperature,
+        audio_dim=LATENT_DIM * task.levels, width=args.scav_width,
+        temperature=temperature,
     )
 
 

@@ -227,7 +227,7 @@ def config_from(cls, data, where, name: str):
         kind = "missing" if odd[0] in fields else "unknown"
         raise ValidationError(f"{where}: {kind} field {name}.{odd[0]}")
     hints = typing.get_type_hints(cls)
-    values = {key: _json_value(hints[key], data[key], where, f"{name}.{key}")
+    values = {key: json_value(hints[key], data[key], where, f"{name}.{key}")
               for key in fields}
     try:
         return cls(**values)
@@ -235,14 +235,16 @@ def config_from(cls, data, where, name: str):
         raise ValidationError(f"{where}: {name}: {exc}") from exc
 
 
-def _json_value(hint, value, where, name: str):
+def json_value(hint, value, where, name: str):
+    """`value`, the JSON value of field `name` in `where`, checked against the type
+    `hint` as `config_from` checks every field."""
     if dataclasses.is_dataclass(hint):
         return config_from(hint, value, where, name)
     if typing.get_origin(hint) is tuple:  # tuple[X, ...], a JSON list
         if type(value) is not list:
             raise ValidationError(f"{where}: {name} must be a JSON list, got {value!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_json_value(item, v, where, f"{name}[{i}]") for i, v in enumerate(value))
+        return tuple(json_value(item, v, where, f"{name}[{i}]") for i, v in enumerate(value))
     if type(value) is not hint and not (hint is float and type(value) is int):
         raise ValidationError(f"{where}: {name} must be a JSON {hint.__name__}, "
                               f"got {value!r}")

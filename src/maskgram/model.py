@@ -213,19 +213,13 @@ class MaskedGridTransformer:
     def n_params(self) -> int:
         return sum(p.data.size for p in self.params.values())
 
-    def check_finite_params(self) -> None:
-        for name, p in self.params.items():
-            if not np.isfinite(p.data).all():
-                raise NonFiniteError(f"parameter {name}")
-
     def astype(self, dtype) -> MaskedGridTransformer:
         """A model of the same config with every parameter cast to `dtype`. A finite
         value beyond the dtype's range raises NonFiniteError naming its parameter."""
-        model = MaskedGridTransformer(self.config, params={
-            name: Tensor(p.data.astype(dtype), requires_grad=True)
-            for name, p in self.params.items()})
-        model.check_finite_params()
-        return model
+        params = {name: Tensor(p.data.astype(dtype), requires_grad=True)
+                  for name, p in self.params.items()}
+        check_finite(params)
+        return MaskedGridTransformer(self.config, params=params)
 
     # -- building blocks -----------------------------------------------------
 
@@ -482,13 +476,19 @@ def model_from_checkpoint(path) -> MaskedGridTransformer:
         raise ValidationError(f"{path}: checkpoint does not describe a model")
     config = config_from(ModelConfig, meta["model"], f"{path}.json", "model")
     check_records(path, params, param_layout(config))
-    model = MaskedGridTransformer(config, params=params)
-    model.check_finite_params()
-    return model
+    return MaskedGridTransformer(config, params=params)
+
+
+def check_finite(params: dict[str, Tensor]) -> None:
+    """Raise NonFiniteError naming the first parameter that holds a non-finite value."""
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise NonFiniteError(f"parameter {name}")
 
 
 def check_records(path, records: dict[str, Tensor], layout: Layout) -> None:
-    """Raise unless the checkpoint's records have exactly the layout's names and shapes."""
+    """Raise unless the checkpoint's records have exactly the layout's names and
+    shapes, and hold only finite values."""
     missing = sorted(set(layout) ^ set(records))
     if missing:
         more = ", ..." if len(missing) > 5 else ""
@@ -497,3 +497,4 @@ def check_records(path, records: dict[str, Tensor], layout: Layout) -> None:
     for name, tensor in records.items():
         if layout[name][0] != tensor.data.shape:
             raise ValidationError(f"{path}: checkpoint shape mismatch for {name}")
+    check_finite(records)

@@ -107,9 +107,7 @@ def confidence(log_probs: np.ndarray, delta_n: float,
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    ad._row_blocks(ad._log_softmax_rows, x, out)
-    return out
+    return ad.log_softmax_array(x, axis=-1)
 
 
 def _multinomial(log_probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

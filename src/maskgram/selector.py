@@ -59,7 +59,7 @@ def init_scav_params(config: ScavConfig, seed: int) -> dict[str, Tensor]:
 
 def scav_from_checkpoint(path) -> tuple[dict[str, Tensor], ScavConfig]:
     """A scav checkpoint's params and config (read by `config_from`), its records
-    checked against the config's layout."""
+    checked against the config's layout and for finite values."""
     params, _, meta = load_checkpoint(path)
     if "scav" not in meta:
         raise ValidationError(f"{path}: checkpoint does not describe a scav encoder")
@@ -78,6 +78,8 @@ def _encode(params: dict[str, Tensor], branch: str, feats, config: ScavConfig) -
     width = config.video_dim if branch == "video" else config.audio_dim
     if feats.shape[2] != width:
         raise ShapeMismatchError(f"{branch} feature width", width, feats.shape[2])
+    if not np.isfinite(feats).all():
+        raise ValidationError(f"{branch} features hold non-finite values")
     feats = feats[:, resample_indices(feats.shape[1], config.n_scav)]
     x = ad.linear(Tensor(feats), params[f"{branch}.fc1.w"], params[f"{branch}.fc1.b"])
     x = ad.gelu(x)

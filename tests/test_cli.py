@@ -26,6 +26,7 @@ from maskgram.model import (
     param_layout,
     save_checkpoint,
 )
+from maskgram.synthetic import latent_sequence
 
 
 def run(argv):
@@ -81,7 +82,8 @@ def test_missing_file_exits_3(tmp_path, dataset):
 def test_config_file_overrides_defaults(tmp_path):
     out = tmp_path / "data"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, "count": 10, "seed": 9}))
+    # a JSON int passes for a float flag
+    cfg.write_text(json.dumps({"version": 1, "count": 10, "seed": 9, "noise_level": 0}))
     code = run([
         "gen-data", "--rule", "deterministic-map", "--count", "12",
         "--out", str(out), "--config", str(cfg),
@@ -91,6 +93,7 @@ def test_config_file_overrides_defaults(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["count"] == 12
     assert manifest["task"]["seed"] == 9
+    assert manifest["task"]["noise_level"] == 0
 
 
 def test_config_unknown_key_exits_4(tmp_path):
@@ -117,6 +120,8 @@ def test_config_wrong_version_exits_4(tmp_path):
     [1, 2], "s", 3, {"version": 1, "beams": [2]}, {"version": 1, "index": None},
     {"version": 1, "steps": 2.5}, {"version": 1, "split": "dev"},
     {"version": 1, "trace": "yes"}, {"version": True}, {"version": 1.0},
+    {"version": 1, "steps": "4"}, {"version": 1, "gamma": "1e0"},
+    {"version": 1, "out": [1, 2]},
 ])
 def test_config_not_an_object_or_mistyped_exits_4(dataset, tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -309,7 +314,8 @@ def test_select_emits_index_and_distances(dataset, tmp_path, capsys):
     assert len(lines[0].split(",")) == 2
 
 
-@pytest.mark.parametrize("damage", ["video-width", "candidate-width", "config-width"])
+@pytest.mark.parametrize("damage", ["video-width", "candidate-width", "config-width",
+                                    "weight-nan", "video-nan", "candidate-nan"])
 def test_select_width_mismatch_exits_4(dataset, tmp_path, capsys, damage):
     scav = tmp_path / "scav.ckpt"
     assert run([
@@ -322,17 +328,33 @@ def test_select_width_mismatch_exits_4(dataset, tmp_path, capsys, damage):
         video = dataset / "ex_00010.s3d.emb"
     elif damage == "candidate-width":  # the audio branch takes 8 x 2 levels
         candidate = dataset / "ex_00010.clip.emb"
-    else:  # the config no longer matches the records' shapes
+    elif damage == "config-width":  # the config no longer matches the records' shapes
         meta_path = tmp_path / "scav.ckpt.json"
         meta = json.loads(meta_path.read_text())
         meta["scav"]["width"] = 9
         meta_path.write_text(json.dumps(meta))
+    elif damage == "weight-nan":
+        params, _, meta = load_checkpoint(scav)
+        params["video.fc1.w"].data[0, 0] = np.nan
+        save_checkpoint(scav, params, {"scav": meta["scav"]})
+    elif damage == "video-nan":
+        feats, name = load_features(video)
+        feats[0, 0] = np.nan
+        video = tmp_path / "video.emb"
+        save_features(video, feats, name)
+    else:  # an audio-width feature file in place of the grid, with one NaN
+        feats = latent_sequence(load_codegram(candidate))
+        feats[0, 0] = np.nan
+        candidate = tmp_path / "candidate.emb"
+        save_features(candidate, feats, "beats")
     capsys.readouterr()
     code = run(["select", "--scav-checkpoint", str(scav), "--video", str(video),
                 "--candidates", str(candidate)])
     assert code == 4
     named = {"video-width": "video feature width", "candidate-width": "audio feature width",
-             "config-width": "shape mismatch for video.fc1.w"}[damage]
+             "config-width": "shape mismatch for video.fc1.w",
+             "weight-nan": "parameter video.fc1.w", "video-nan": "video features",
+             "candidate-nan": "audio features"}[damage]
     _assert_one_line_error(capsys, "validation", named)
 
 
