@@ -16,14 +16,13 @@ from .features import resample_nn
 from .model import MaskedGridTransformer, ModelConfig, StreamSpec
 from .sampler import SamplerConfig, guided_logits, sample_batch
 from .scheduler import SampleSchedule, TrainMaskDraw, build_sample_schedule, draw_train_mask
-from .train import LossBreakdown, TrainConfig, masked_token_accuracy
+from .train import TrainConfig, masked_token_accuracy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Codegram",
     "CodebookSpec",
-    "LossBreakdown",
     "MaskTensor",
     "MaskedGridTransformer",
     "ModelConfig",

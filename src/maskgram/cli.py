@@ -63,6 +63,7 @@ from .synthetic import (
     load_dataset,
     load_example,
     load_manifest,
+    split_indices,
     token_match_fraction,
 )
 from .train import (
@@ -101,21 +102,10 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
             raise ValidationError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _load_config_defaults(argv: list[str],
-                          subparsers: dict[str, argparse.ArgumentParser]) -> None:
+def _apply_config(path: str, sub: argparse.ArgumentParser) -> None:
     """Apply --config JSON values as subcommand defaults (flags still override)."""
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config requires a path")
-    command = argv[0] if argv and argv[0] in subparsers else None
-    if command is None:
-        raise ValidationError("--config requires a subcommand")
-    sub = subparsers[command]
-    path = argv[idx + 1]
     data = load_json(path, CONFIG_VERSION)
-    actions = {a.dest: a for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     values = {k: v for k, v in data.items() if k != "version"}
     unknown = sorted(set(values) - set(actions))
     if unknown:
@@ -269,7 +259,7 @@ def cmd_train(args) -> int:
         _model_config_from(task, args), train_cfg, args.seed, examples, splits, args.out,
         args.metrics_log,
     )
-    print(f"[train] final l_mask={history[-1].loss.l_mask!r} valid_accuracy={acc!r}")
+    print(f"[train] final l_mask={history[-1].l_mask!r} valid_accuracy={acc!r}")
     print(f"[train] checkpoint written to {args.out}")
     return EXIT_OK
 
@@ -451,6 +441,11 @@ def cmd_pipeline(args) -> int:
         n_steps=args.steps, gamma=args.gamma, delta=args.delta, temperature=args.temp,
         seed=args.seed,
     )
+    # scav training and the contrastive losses pair each example with the rest of its batch
+    n_train = len(split_indices(args.count)["train"])
+    if args.batch_size < 2 or n_train < 2:
+        raise ValidationError(f"pipeline needs --batch-size >= 2 and >= 2 train examples, "
+                              f"got {args.batch_size} and {n_train} (--count {args.count})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -458,8 +453,6 @@ def cmd_pipeline(args) -> int:
     gen_dataset(spec, args.count, data_dir)
     task, examples, splits = load_dataset(data_dir)
     test_examples = _examples_for_split(examples, splits, "test")
-    if not test_examples:
-        raise ValidationError("pipeline needs a non-empty test split (count >= 10)")
 
     model, history, valid_accuracy = _train_generator(
         model_cfg, train_cfg, args.seed, examples, splits, out / "model.ckpt",
@@ -499,7 +492,7 @@ def cmd_pipeline(args) -> int:
 
     results = _eval_codegram_dirs(chosen_grids, ref_grids, args.kernel_size)
     tail = history[-min(20, len(history)):]
-    results["l_mask_tail"] = float(np.mean([r.loss.l_mask for r in tail]))
+    results["l_mask_tail"] = float(np.mean([r.l_mask for r in tail]))
     results["masked_accuracy_valid"] = valid_accuracy
     results["selection_hit_rate"] = hits / eval_count
     results["seed"] = args.seed
@@ -603,11 +596,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _load_config_defaults(argv, commands)
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            _apply_config(args.config, commands[args.command])
+            args = parser.parse_args(argv)
         # a fault is reported in one error line, by the finiteness checks; numpy's
         # floating-point warnings before it would only repeat it
         with np.errstate(all="ignore"):

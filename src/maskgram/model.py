@@ -479,11 +479,13 @@ def model_from_checkpoint(path) -> MaskedGridTransformer:
     return MaskedGridTransformer(config, params=params)
 
 
-def check_finite(params: dict[str, Tensor]) -> None:
-    """Raise NonFiniteError naming the first parameter that holds a non-finite value."""
+def check_finite(params: dict[str, Tensor], source=None) -> None:
+    """Raise NonFiniteError naming the first parameter that holds a non-finite value,
+    after its `source` (a checkpoint's path) when one is given."""
+    prefix = "" if source is None else f"{source}: "
     for name, p in params.items():
         if not np.isfinite(p.data).all():
-            raise NonFiniteError(f"parameter {name}")
+            raise NonFiniteError(f"{prefix}parameter {name}")
 
 
 def check_records(path, records: dict[str, Tensor], layout: Layout) -> None:
@@ -497,4 +499,4 @@ def check_records(path, records: dict[str, Tensor], layout: Layout) -> None:
     for name, tensor in records.items():
         if layout[name][0] != tensor.data.shape:
             raise ValidationError(f"{path}: checkpoint shape mismatch for {name}")
-    check_finite(records)
+    check_finite(records, path)

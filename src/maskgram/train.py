@@ -13,7 +13,7 @@ the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -26,13 +26,6 @@ from .scheduler import draw_train_mask
 
 INIT_LOGIT_SCALE = math.log(1.0 / 0.07)
 MAX_LOGIT_SCALE = math.log(100.0)
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    l_mask: float
-    l_mse: float
-    l_contrastive: float
 
 
 # -- loss terms ---------------------------------------------------------------
@@ -143,24 +136,6 @@ class AdamW:
 
 
 @dataclass(frozen=True)
-class LrSchedule:
-    """Linear warmup to the peak, then linear decay down to the floor."""
-
-    peak: float = 2e-4
-    floor: float = 1e-6
-    warmup: int = 100
-    total: int = 1000
-
-    def at(self, step: int) -> float:
-        if self.warmup > 0 and step < self.warmup:
-            return self.peak * step / self.warmup
-        if self.total <= self.warmup:
-            return self.peak
-        frac = min((step - self.warmup) / (self.total - self.warmup), 1.0)
-        return self.floor + (self.peak - self.floor) * (1.0 - frac)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     steps: int = 1000
     batch_size: int = 32
@@ -183,9 +158,14 @@ class TrainConfig:
             if not 0 <= value < np.inf:  # a chained comparison, so that nan fails
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(peak=self.peak_lr, floor=self.floor_lr,
-                          warmup=self.warmup, total=self.steps)
+    def lr_at(self, step: int) -> float:
+        """Linear warmup to peak_lr, then linear decay down to floor_lr at `steps`."""
+        if self.warmup > 0 and step < self.warmup:
+            return self.peak_lr * step / self.warmup
+        if self.steps <= self.warmup:
+            return self.peak_lr
+        frac = min((step - self.warmup) / (self.steps - self.warmup), 1.0)
+        return self.floor_lr + (self.peak_lr - self.floor_lr) * (1.0 - frac)
 
 
 def init_aux_params(config: ModelConfig, seed: int) -> dict[str, Tensor]:
@@ -226,9 +206,13 @@ def _draw_masks(shape: tuple[int, int, int], rng: np.random.Generator) -> np.nda
     return np.stack([draw_train_mask(length, levels, rng).mask.flags for _ in range(b)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepResult:
-    loss: LossBreakdown
+    """One training step, its fields in metrics.csv column order."""
+
+    l_mask: float
+    l_mse: float
+    l_cont: float
     lr: float
     accuracy: float | None
 
@@ -277,19 +261,17 @@ def train_step(
     optimizer: AdamW,
     batch: Batch,
     step: int,
-    schedule: LrSchedule,
+    config: TrainConfig,
     rng: np.random.Generator,
-    lambda_reg: float = 1.0,
-    lambda_cont: float = 1.0,
 ) -> StepResult:
     """One optimizer step: draw masks, apply conditioning dropout, update."""
     masks = _draw_masks(batch.tokens.shape, rng)
     prob = model.config.cond_dropout_prob
     drop = rng.random(len(masks)) < prob if prob > 0 else None
     total, logits, parts, _ = compute_losses(
-        model, aux, batch, masks, drop, lambda_reg, lambda_cont
+        model, aux, batch, masks, drop, config.lambda_reg, config.lambda_cont
     )
-    lr = schedule.at(step)
+    lr = config.lr_at(step)
     optimizer.zero_grad()
     total.backward()
     optimizer.step(lr)
@@ -298,22 +280,15 @@ def train_step(
             aux["aux.logit_scale"].data, 0.0, MAX_LOGIT_SCALE
         )
     accuracy = masked_token_accuracy(logits.data, batch.tokens, masks)
-    loss = LossBreakdown(
-        l_mask=parts["l_mask"], l_mse=parts["l_mse"], l_contrastive=parts["l_cont"],
-    )
-    return StepResult(loss=loss, lr=lr, accuracy=accuracy)
+    return StepResult(**parts, lr=lr, accuracy=accuracy)
 
 
-METRICS_HEADER = "step,l_mask,l_mse,l_cont,lr,accuracy"
+METRICS_HEADER = ",".join(["step", *(f.name for f in fields(StepResult))])
 
 
 def metrics_line(step: int, result: StepResult) -> str:
-    acc = "" if result.accuracy is None else repr(result.accuracy)
-    parts = result.loss
-    return (
-        f"{step},{parts.l_mask!r},{parts.l_mse!r},{parts.l_contrastive!r},"
-        f"{result.lr!r},{acc}"
-    )
+    """One metrics.csv row; a None accuracy leaves the last column empty."""
+    return ",".join([str(step), *("" if v is None else repr(v) for v in astuple(result))])
 
 
 def train_model(
@@ -328,7 +303,6 @@ def train_model(
     optimizer = AdamW(
         {**model.params, **aux}, weight_decay=config.weight_decay
     )
-    schedule = config.schedule()
     n = len(examples)
     if n == 0:
         raise ValidationError("cannot train on an empty example list")
@@ -344,10 +318,7 @@ def train_model(
         idx = order[cursor:cursor + config.batch_size]
         cursor += config.batch_size
         batch = _stack_examples([examples[i] for i in idx])
-        result = train_step(
-            model, aux, optimizer, batch, step, schedule, rng,
-            lambda_reg=config.lambda_reg, lambda_cont=config.lambda_cont,
-        )
+        result = train_step(model, aux, optimizer, batch, step, config, rng)
         history.append(result)
         if log_lines is not None:
             log_lines.append(metrics_line(step, result))

@@ -106,6 +106,19 @@ def test_config_unknown_key_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("form", ["separate", "equals", "abbreviated"])
+def test_config_flag_forms_all_apply(dataset, tmp_path, capsys, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "steps": 3}))
+    flag = {"separate": ["--config", str(cfg)], "equals": [f"--config={cfg}"],
+            "abbreviated": ["--conf", str(cfg)]}[form]
+    capsys.readouterr()
+    assert run(["sample", "--data", str(dataset), "--dump-schedule", *flag]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    resolved = json.loads(line.removeprefix("[sample] resolved config: "))
+    assert resolved["steps"] == 3
+
+
 def test_config_wrong_version_exits_4(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"version": 99}))
@@ -121,7 +134,8 @@ def test_config_wrong_version_exits_4(tmp_path):
     {"version": 1, "steps": 2.5}, {"version": 1, "split": "dev"},
     {"version": 1, "trace": "yes"}, {"version": True}, {"version": 1.0},
     {"version": 1, "steps": "4"}, {"version": 1, "gamma": "1e0"},
-    {"version": 1, "out": [1, 2]},
+    {"version": 1, "out": [1, 2]}, {"version": 1, "help": True},
+    {"version": 1, "config": "x.json"},
 ])
 def test_config_not_an_object_or_mistyped_exits_4(dataset, tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -353,7 +367,7 @@ def test_select_width_mismatch_exits_4(dataset, tmp_path, capsys, damage):
     assert code == 4
     named = {"video-width": "video feature width", "candidate-width": "audio feature width",
              "config-width": "shape mismatch for video.fc1.w",
-             "weight-nan": "parameter video.fc1.w", "video-nan": "video features",
+             "weight-nan": f"{scav}: parameter video.fc1.w", "video-nan": "video features",
              "candidate-nan": "audio features"}[damage]
     _assert_one_line_error(capsys, "validation", named)
 
@@ -519,6 +533,23 @@ def test_pipeline_zero_count_exits_4(tmp_path, capsys, flag):
     # TrainConfig's own check names its fields
     named = {"--batch-size": "batch_size", "--train-steps": "steps"}.get(flag, flag)
     _assert_one_line_error(capsys, "validation", named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, count", [
+    (["--batch-size", "1"], 40),
+    (["--batch-size", "1", "--structure", "adaln"], 40),
+    ([], 0),
+    ([], 1),
+    ([], 2),
+])
+def test_pipeline_batch_or_train_split_below_two_exits_4(tmp_path, capsys, extra, count):
+    # checked before --out is created, so nothing is left behind
+    out = tmp_path / "p"
+    argv = gen_args(out, count=count)[1:]
+    capsys.readouterr()
+    assert run(["pipeline", *argv, *extra]) == 4
+    _assert_one_line_error(capsys, "validation", "pipeline needs --batch-size >= 2")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Loss oracles, optimizer behavior, lr schedule, overfit sanity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,14 +14,16 @@ from maskgram.features import ALIGNMENT_SENSITIVE, FRAME_SEMANTIC
 from maskgram.model import MaskedGridTransformer, ModelConfig, StreamSpec
 from maskgram.train import (
     AdamW,
+    METRICS_HEADER,
     Batch,
-    LrSchedule,
+    StepResult,
     TrainConfig,
     clip_contrastive_t,
     compute_losses,
     init_aux_params,
     masked_ce_t,
     masked_token_accuracy,
+    metrics_line,
     seq_mse_t,
     train_model,
     train_step,
@@ -246,10 +249,17 @@ def test_train_config_rejects_negative_or_non_finite_rates(field):
 
 
 def test_lr_warmup_midpoint_is_half_peak():
-    sched = LrSchedule(peak=2e-4, floor=1e-6, warmup=100, total=1000)
-    assert sched.at(50) == pytest.approx(1e-4, abs=1e-12 * 1e-4)
-    assert sched.at(100) == pytest.approx(2e-4)
-    assert sched.at(1000) == pytest.approx(1e-6)
+    config = TrainConfig(peak_lr=2e-4, floor_lr=1e-6, warmup=100, steps=1000)
+    assert config.lr_at(50) == pytest.approx(1e-4, abs=1e-12 * 1e-4)
+    assert config.lr_at(100) == pytest.approx(2e-4)
+    assert config.lr_at(1000) == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("steps", [50, 100])
+def test_lr_is_peak_after_warmup_when_steps_do_not_exceed_it(steps):
+    config = TrainConfig(peak_lr=2e-4, floor_lr=1e-6, warmup=100, steps=steps)
+    assert config.lr_at(100) == 2e-4
+    assert config.lr_at(150) == 2e-4
 
 
 def test_adamw_zero_lr_keeps_params_bit_exact():
@@ -310,7 +320,7 @@ def test_train_step_aborts_on_non_finite_component():
     batch.targets[0, 0, 0] = np.nan
     opt = AdamW({**model.params, **aux})
     with pytest.raises(NonFiniteError) as err:
-        train_step(model, aux, opt, batch, 0, LrSchedule(), rng)
+        train_step(model, aux, opt, batch, 0, TrainConfig(), rng)
     assert "l_mse" in str(err.value)
 
 
@@ -320,9 +330,9 @@ def test_adaln_structure_needs_no_targets():
     batch = tiny_batch(rng)
     batch.targets = None
     opt = AdamW(model.params)
-    result = train_step(model, aux, opt, batch, 0, LrSchedule(), rng)
-    assert result.loss.l_mse == 0.0
-    assert result.loss.l_contrastive == 0.0
+    result = train_step(model, aux, opt, batch, 0, TrainConfig(), rng)
+    assert result.l_mse == 0.0
+    assert result.l_cont == 0.0
 
 
 def test_overfit_single_batch_reaches_high_accuracy():
@@ -399,3 +409,14 @@ def test_train_model_logs_metrics_lines():
     assert lines[0] == "step,l_mask,l_mse,l_cont,lr,accuracy"
     assert len(lines) == 4
     assert lines[1].startswith("0,")
+
+
+def test_metrics_header_lists_step_result_fields_after_step():
+    names = [f.name for f in dataclasses.fields(StepResult)]
+    assert METRICS_HEADER.split(",") == ["step", *names]
+
+
+def test_metrics_line_leaves_a_none_accuracy_empty():
+    result = StepResult(l_mask=1.5, l_mse=0.25, l_cont=0.0, lr=1e-4, accuracy=None)
+    assert metrics_line(3, result) == "3,1.5,0.25,0.0,0.0001,"
+    assert metrics_line(3, dataclasses.replace(result, accuracy=0.5)).endswith(",0.0001,0.5")
